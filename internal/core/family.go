@@ -39,15 +39,22 @@ type Family struct {
 	totals []int64 // len r·strideTotals; copy i at [i·st, i·st+Buckets)
 	counts []int64 // len r·strideCounts; copy i at [i·sc, i·sc+counters())
 
-	// version counts counter mutations (Update/Merge/Reset …) and gates
-	// the lazily rebuilt query view (see queryview.go). It is a shared
-	// pointer because Truncate views alias the same counter storage:
-	// a mutation through any view must invalidate all of them. Atomic
-	// because ingest workers call UpdateRange concurrently on disjoint
-	// copy shards.
+	// version counts counter mutations (Update/Merge/Reset …); the
+	// cached query view is current while its version matches (see
+	// queryview.go). It is a shared pointer because Truncate views alias
+	// the same counter storage: a mutation through any view must move
+	// all of them. Atomic because ingest workers call UpdateRange
+	// concurrently on disjoint copy shards.
 	version *atomic.Uint64
-	viewMu  sync.Mutex
-	view    *familyView
+	// dirty backs the per-copy dirty-bucket masks the copies' sketches
+	// point into (see queryview.go), copy i's word at
+	// dirty[i·arenaAlign]: one cache line per copy, so ingest workers on
+	// adjacent shards never share a line. Nil for Truncate views, whose
+	// writes mark the parent's masks through the shared sketches, and
+	// for ToCounters families: both always build their view in full.
+	dirty  []uint64
+	viewMu sync.Mutex
+	view   *familyView
 }
 
 // NewFamily builds a family of r empty sketches from a master seed.
@@ -65,10 +72,11 @@ func NewFamily(cfg Config, seed uint64, r int) (*Family, error) {
 		totals:  make([]int64, r*cfg.strideTotals()),
 		counts:  make([]int64, r*cfg.strideCounts()),
 		version: new(atomic.Uint64),
+		dirty:   make([]uint64, r*arenaAlign),
 	}
 	for i := range f.copies {
 		f.copies[i] = newSketchView(cfg, hashing.DeriveSeed(seed, uint64(i)),
-			f.copyTotals(i), f.copyCounts(i))
+			f.copyTotals(i), f.copyCounts(i), &f.dirty[i*arenaAlign])
 	}
 	return f, nil
 }
@@ -113,7 +121,10 @@ func (f *Family) Seed() uint64 { return f.seed }
 // Copies returns the number of independent sketch copies r.
 func (f *Family) Copies() int { return len(f.copies) }
 
-// Copy returns the i-th sketch copy.
+// Copy returns the i-th sketch copy, for reading. Writes through it
+// bypass the family's version counter, and Sketch.Merge and
+// Sketch.Reset bypass its dirty-bucket mask too, so the family's cached
+// query view would go stale: mutate through the Family methods.
 func (f *Family) Copy(i int) *Sketch { return f.copies[i] }
 
 // Update applies the stream update ⟨e, ±v⟩ to every copy. The element
@@ -220,8 +231,20 @@ func (f *Family) MergeRange(lo, hi int, g *Family) error {
 	for i, c := range g.counts[lo*sc : hi*sc] {
 		f.counts[lo*sc+i] += c
 	}
+	f.markAll(lo, hi)
 	f.bumpVersion()
 	return nil
+}
+
+// markAll marks every bucket of copies lo..hi-1 dirty, for the writers
+// that add whole arenas instead of going through the per-update path.
+// It writes through the sketches so that a write via a Truncate view
+// marks the parent's masks.
+func (f *Family) markAll(lo, hi int) {
+	all := uint64(1)<<uint(f.cfg.Buckets) - 1
+	for _, x := range f.copies[lo:hi] {
+		*x.dirty = all
+	}
 }
 
 // Insert is Update(e, +1).
@@ -255,6 +278,7 @@ func (f *Family) Merge(g *Family) error {
 	for i, c := range g.counts {
 		f.counts[i] += c
 	}
+	f.markAll(0, len(f.copies))
 	f.bumpVersion()
 	return nil
 }
@@ -270,11 +294,12 @@ func (f *Family) Clone() *Family {
 		totals:  make([]int64, len(f.totals)),
 		counts:  make([]int64, len(f.counts)),
 		version: new(atomic.Uint64),
+		dirty:   make([]uint64, len(f.copies)*arenaAlign),
 	}
 	copy(g.totals, f.totals)
 	copy(g.counts, f.counts)
 	for i, x := range f.copies {
-		g.copies[i] = x.viewWith(g.copyTotals(i), g.copyCounts(i))
+		g.copies[i] = x.viewWith(g.copyTotals(i), g.copyCounts(i), &g.dirty[i*arenaAlign])
 	}
 	return g
 }
@@ -287,6 +312,7 @@ func (f *Family) Reset() {
 	for i := range f.counts {
 		f.counts[i] = 0
 	}
+	f.markAll(0, len(f.copies))
 	f.bumpVersion()
 }
 
@@ -307,7 +333,9 @@ func (f *Family) Truncate(r int) (*Family, error) {
 		// Share the parent's version counter: the view aliases the
 		// parent's counter storage, so mutations through either must
 		// invalidate both caches. The view cache itself is per-view
-		// (different r ⇒ different bitmap shapes).
+		// (different r ⇒ different bitmap shapes), and with no mask of
+		// its own (dirty is nil) the truncated family never clears the
+		// parent's masks: it rebuilds its view in full.
 		version: f.version,
 	}, nil
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"setsketch/internal/expr"
 )
 
 // FuzzDigestEquivalence drives the digest-based update kernel against
@@ -71,6 +74,112 @@ func FuzzDigestEquivalence(f *testing.F) {
 			t.Fatalf("batch digest path diverged from direct path (cfg %+v, seed %d, %d updates)",
 				cfg, seed, len(data))
 		}
+	})
+}
+
+// FuzzQueryViewMaintained drives a family with a fuzzer-chosen shape
+// and coins through a tape of every mutator — the four update entry
+// points, the batch digest path, Merge, MergeRange, Reset, Clone, and
+// writes through a Truncate view — interleaved with view reads. Every
+// read of the family and of its Truncate view must equal the view
+// rebuilt from the counters word for word, and the compiled estimate
+// must be bit-identical to the same query over a Clone, whose view is
+// built fresh. A mutator that writes counters without marking their
+// buckets dirty fails here.
+//
+// The tape is a sequence of 4-byte ops: [op, element, delta, range]; a
+// read with an odd element byte refreshes the Truncate view first.
+func FuzzQueryViewMaintained(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, buckets, s uint8, tape []byte) {
+		cfg := Config{
+			Buckets:     1 + int(buckets)%61,
+			SecondLevel: 1 + int(s)%int(DigestMaxSecondLevel),
+			FirstWise:   4,
+		}
+		const r, rt = 4, 2 // the family's copies, and its Truncate view's
+		fam, err := NewFamily(cfg, seed, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// other is stream B of the estimate and the source of merges.
+		other, _ := NewFamily(cfg, seed, r)
+		for e := uint64(0); e < 6; e++ {
+			other.Update(3*e+1, 1)
+		}
+		otherTr, _ := other.Truncate(rt)
+		tr, _ := fam.Truncate(rt)
+		var cloned *Family // the family the last Clone op copied
+		q, err := CompileQuery(expr.MustParse("A - B"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// read checks every view, the Truncate view first when
+		// truncFirst: its refresh must leave the parent's masks alone,
+		// as the clone's must leave the cloned family's.
+		read := func(step int, truncFirst bool) {
+			if truncFirst {
+				sameView(t, fmt.Sprintf("step %d: truncate view", step), tr.queryView(), counterViewOracle(tr))
+			}
+			sameView(t, fmt.Sprintf("step %d: family", step), fam.queryView(), counterViewOracle(fam))
+			sameView(t, fmt.Sprintf("step %d: truncate view", step), tr.queryView(), counterViewOracle(tr))
+			if cloned != nil {
+				sameView(t, fmt.Sprintf("step %d: cloned family", step), cloned.queryView(), counterViewOracle(cloned))
+			}
+			got, gotErr := q.Estimate(map[string]*Family{"A": fam, "B": other}, 0.5, true, EstimateOptions{})
+			want, wantErr := q.Estimate(map[string]*Family{"A": fam.Clone(), "B": other}, 0.5, true, EstimateOptions{})
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
+				t.Fatalf("step %d: estimate %+v (%v), over a clone %+v (%v)", step, got, gotErr, want, wantErr)
+			}
+		}
+		for step := 0; len(tape) >= 4; step++ {
+			op, eb, vb, rb := tape[0], tape[1], tape[2], tape[3]
+			tape = tape[4:]
+			e := uint64(eb % 32) // a tiny domain: collisions and counters back at zero
+			v := int64(vb%8) - 3 // deltas in [−3, +4]
+			if v == 0 {
+				v = 4
+			}
+			lo := int(rb) % (r + 1)
+			hi := lo + int(rb>>4)%(r+1-lo)
+			switch op % 11 {
+			case 0:
+				fam.Update(e, v)
+			case 1:
+				fam.UpdateRange(lo, hi, e, v)
+			case 2:
+				fam.UpdateDigest(fam.Digest(e), v)
+			case 3:
+				fam.UpdateRangeDigest(lo, hi, fam.Digest(e), v)
+			case 4:
+				fam.UpdateRangeBatchDigest(lo, hi, fam.DigestBatch([]uint64{e, e + 1, e + 7}), []int64{v, -v, v})
+			case 5:
+				err = fam.Merge(other)
+			case 6:
+				err = fam.MergeRange(lo, hi, other)
+			case 7:
+				fam.Reset()
+			case 8:
+				cloned, fam = fam, fam.Clone()
+				tr, _ = fam.Truncate(rt)
+			case 9:
+				switch eb % 4 {
+				case 0:
+					tr.Update(e, v)
+				case 1:
+					tr.UpdateRangeDigest(lo%(rt+1), rt, tr.Digest(e), v)
+				case 2:
+					err = tr.Merge(otherTr)
+				case 3:
+					tr.Reset()
+				}
+			case 10:
+				read(step, eb%2 == 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		read(-1, false)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -12,16 +13,19 @@ func TestGenSeedCorpus(t *testing.T) {
 	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
 		t.Skip("set GEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz seeds")
 	}
-	write := func(name string, b []byte) {
-		dir := filepath.Join("testdata", "fuzz", "FuzzReadFamily")
+	// write stores one seed: args are the fuzz arguments as Go literals.
+	write := func(target, name string, args ...string) {
+		dir := filepath.Join("testdata", "fuzz", target)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+		content := "go test fuzz v1\n" + strings.Join(args, "\n") + "\n"
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	bytesArg := func(b []byte) string { return "[]byte(" + strconv.Quote(string(b)) + ")" }
+
 	fam, err := NewFamily(Config{Buckets: 32, SecondLevel: 6, FirstWise: 4}, 11, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +38,79 @@ func TestGenSeedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	write("seed-populated-family", b)
-	write("seed-truncated-family", b[:len(b)/2])
+	write("FuzzReadFamily", "seed-populated-family", bytesArg(b))
+	write("FuzzReadFamily", "seed-truncated-family", bytesArg(b[:len(b)/2]))
 	corrupt := append([]byte(nil), b...)
 	corrupt[len(corrupt)/3] ^= 0xff
-	write("seed-corrupt-family", corrupt)
+	write("FuzzReadFamily", "seed-corrupt-family", bytesArg(corrupt))
+
+	// FuzzQueryViewMaintained tapes are 4-byte ops [op, element, delta,
+	// range] over a 4-copy family with a 2-copy Truncate view.
+	const (
+		update, updateRange, updateDigest, updateRangeDigest, batch = 0, 1, 2, 3, 4
+		merge, mergeRange, reset, clone, viaTruncate, read          = 5, 6, 7, 8, 9, 10
+	)
+	// span is the range byte of copies [lo, hi); delta bytes 4, 5, 2
+	// and 3 are the deltas +1, +2, −1 and +4.
+	span := func(lo, hi int) byte {
+		for b := 0; b < 256; b++ {
+			if l := b % 5; l == lo && l+(b>>4)%(5-l) == hi {
+				return byte(b)
+			}
+		}
+		t.Fatalf("no range byte for [%d, %d)", lo, hi)
+		return 0
+	}
+	view := func(name string, seed uint64, buckets, s uint8, ops ...[4]byte) {
+		var tape []byte
+		for _, op := range ops {
+			tape = append(tape, op[:]...)
+		}
+		write("FuzzQueryViewMaintained", name,
+			"uint64("+strconv.FormatUint(seed, 10)+")",
+			"uint8("+strconv.Itoa(int(buckets))+")",
+			"uint8("+strconv.Itoa(int(s))+")",
+			bytesArg(tape))
+	}
+	// Every op at the served shape (61 buckets, s = 32), reading after
+	// each kind of write.
+	view("seed-every-op", 1, 60, 31,
+		[4]byte{update, 5, 4, 0}, [4]byte{read},
+		[4]byte{updateRange, 6, 5, span(1, 3)}, [4]byte{read},
+		[4]byte{updateDigest, 7, 3, 0}, [4]byte{read},
+		[4]byte{updateRangeDigest, 8, 4, span(2, 4)}, [4]byte{read},
+		[4]byte{batch, 9, 5, span(0, 4)}, [4]byte{read},
+		[4]byte{merge}, [4]byte{read},
+		[4]byte{mergeRange, 0, 0, span(1, 2)}, [4]byte{read},
+		[4]byte{reset}, [4]byte{read},
+		[4]byte{update, 10, 4, 0}, [4]byte{clone}, [4]byte{update, 11, 4, 0}, [4]byte{read},
+		[4]byte{viaTruncate, 12, 4, 0}, [4]byte{read},
+		[4]byte{viaTruncate, 13, 4, span(0, 4)}, [4]byte{read},
+		[4]byte{viaTruncate, 14, 4, 0}, [4]byte{read},
+		[4]byte{viaTruncate, 15, 4, 0}, [4]byte{read})
+	// One bucket, one second-level pair: inserts and deletes drive the
+	// only bucket empty and back between reads.
+	view("seed-tiny-shape", 7, 0, 0,
+		[4]byte{update, 3, 4, 0}, [4]byte{read},
+		[4]byte{update, 3, 2, 0}, [4]byte{read},
+		[4]byte{batch, 3, 4, span(0, 4)}, [4]byte{read},
+		[4]byte{updateRangeDigest, 3, 2, span(0, 4)}, [4]byte{updateRangeDigest, 4, 2, span(0, 4)},
+		[4]byte{updateRangeDigest, 10, 4, span(0, 4)}, [4]byte{read})
+	// Two signature words per bucket (s = 58), several reads with no
+	// write between them, and merges on top of updates.
+	view("seed-wide-signature", 99, 60, 57,
+		[4]byte{batch, 1, 5, span(0, 4)}, [4]byte{read}, [4]byte{read},
+		[4]byte{merge}, [4]byte{updateRange, 2, 2, span(3, 4)}, [4]byte{read},
+		[4]byte{mergeRange, 0, 0, span(0, 1)}, [4]byte{batch, 30, 2, span(1, 3)}, [4]byte{read})
+	// Writes through the Truncate view, parent writes to the copies the
+	// view does not hold, and reads that refresh the Truncate view
+	// before the parent (element byte 1).
+	view("seed-truncate-writes", 3, 19, 7,
+		[4]byte{read},
+		[4]byte{viaTruncate, 4, 5, 0}, [4]byte{viaTruncate, 6, 4, 0}, [4]byte{read, 1},
+		[4]byte{viaTruncate, 5, 2, span(1, 2)}, [4]byte{read},
+		[4]byte{updateRange, 1, 4, span(2, 4)}, [4]byte{read, 1},
+		[4]byte{update, 9, 4, 0}, [4]byte{read, 1},
+		[4]byte{viaTruncate, 7, 4, 0}, [4]byte{read},
+		[4]byte{clone}, [4]byte{viaTruncate, 8, 5, 0}, [4]byte{read, 1})
 }

@@ -100,6 +100,12 @@ type Sketch struct {
 	// counts is the flattened Θ(log M) × s × 2 counter array;
 	// entry (b, j, bit) lives at index (b·s + j)·2 + bit.
 	counts []int64
+
+	// dirty is the copy's dirty-bucket mask: bit b is set when bucket
+	// b's counters changed since the owning family last refreshed its
+	// query view (see queryview.go). It points into the family's mask
+	// storage; a standalone sketch owns a private word nobody reads.
+	dirty *uint64
 }
 
 // NewSketch builds an empty sketch whose hash functions are derived
@@ -109,13 +115,14 @@ func NewSketch(cfg Config, seed uint64) (*Sketch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newSketchView(cfg, seed, make([]int64, cfg.Buckets), make([]int64, cfg.counters())), nil
+	return newSketchView(cfg, seed, make([]int64, cfg.Buckets), make([]int64, cfg.counters()), new(uint64)), nil
 }
 
-// newSketchView builds a sketch whose counters live in caller-provided
-// storage. Family uses it to lay all r copies' counters out in two
-// contiguous family-owned slices; cfg must already be validated.
-func newSketchView(cfg Config, seed uint64, totals, counts []int64) *Sketch {
+// newSketchView builds a sketch whose counters and dirty-bucket mask
+// live in caller-provided storage. Family uses it to lay all r copies'
+// counters out in two contiguous family-owned slices; cfg must already
+// be validated.
+func newSketchView(cfg Config, seed uint64, totals, counts []int64, dirty *uint64) *Sketch {
 	g := make([]*hashing.PairBit, cfg.SecondLevel)
 	for j := range g {
 		g[j] = hashing.NewPairBit(hashing.DeriveSeed(seed, 1, uint64(j)))
@@ -132,16 +139,17 @@ func newSketchView(cfg Config, seed uint64, totals, counts []int64) *Sketch {
 		gbank:  bank,
 		totals: totals,
 		counts: counts,
+		dirty:  dirty,
 	}
 }
 
 // viewWith returns a sketch sharing x's immutable hash functions but
-// reading and writing the given counter storage. Cloning a family
-// re-uses the already-derived coins this way instead of re-running the
-// seed derivation r·(s+1) times.
-func (x *Sketch) viewWith(totals, counts []int64) *Sketch {
+// reading and writing the given counter and mask storage. Cloning a
+// family re-uses the already-derived coins this way instead of
+// re-running the seed derivation r·(s+1) times.
+func (x *Sketch) viewWith(totals, counts []int64, dirty *uint64) *Sketch {
 	return &Sketch{cfg: x.cfg, seed: x.seed, h: x.h, g: x.g, gbank: x.gbank,
-		totals: totals, counts: counts}
+		totals: totals, counts: counts, dirty: dirty}
 }
 
 // Config returns the sketch's configuration.
@@ -163,6 +171,7 @@ func (x *Sketch) Update(e uint64, v int64) {
 // Reduce61 serves all r copies instead of being recomputed in each.
 func (x *Sketch) updateReduced(er uint64, v int64) {
 	b := hashing.LSB(x.h.HashReduced(er), x.cfg.Buckets)
+	*x.dirty |= 1 << uint(b)
 	x.totals[b] += v
 	base := b * x.cfg.SecondLevel * 2
 	for j, g := range x.g {
@@ -198,6 +207,7 @@ func (x *Sketch) digestWord(er uint64) uint64 {
 // the compiler drop the per-counter bounds checks on the hot path.
 func (x *Sketch) applyDigest(w uint64, v int64) {
 	b := int(w & digestBucketMask)
+	*x.dirty |= 1 << uint(b)
 	x.totals[b] += v
 	s2 := x.cfg.SecondLevel * 2
 	c := x.counts[b*s2 : b*s2+s2]
@@ -261,6 +271,7 @@ func (x *Sketch) Clone() *Sketch {
 	c := &Sketch{cfg: x.cfg, seed: x.seed, h: x.h, g: x.g,
 		totals: make([]int64, len(x.totals)),
 		counts: make([]int64, len(x.counts)),
+		dirty:  new(uint64),
 	}
 	copy(c.totals, x.totals)
 	copy(c.counts, x.counts)

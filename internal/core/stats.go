@@ -37,6 +37,17 @@ type EstimatorStats struct {
 	// UnionLevelScans counts first-level bucket indices scanned by the
 	// Fig. 5 level scan (epoch/copy work feeding the union estimate).
 	UnionLevelScans atomic.Uint64
+	// ViewBuilds counts counter-family query views built in full: a
+	// family's first read (fresh clones included), and every stale read
+	// of a Truncate view or a ToCounters family.
+	ViewBuilds atomic.Uint64
+	// ViewPatches counts counter-family query views refreshed from the
+	// cached one by recomputing only the buckets written since.
+	ViewPatches atomic.Uint64
+	// ViewBucketsRebuilt counts the (copy, bucket) pairs those builds
+	// and patches recomputed: a full build adds r·Buckets, a patch its
+	// dirty buckets. Each costs 2s counter reads.
+	ViewBucketsRebuilt atomic.Uint64
 }
 
 // Stats is the process-wide estimator counter set.
@@ -58,12 +69,15 @@ func recordWitnessStats(checks uint64, est Estimate) {
 // exported estimator_* series names.
 func (s *EstimatorStats) Snapshot() map[string]uint64 {
 	return map[string]uint64{
-		"estimator_estimates_total":         s.Estimates.Load(),
-		"estimator_no_observations_total":   s.NoObservations.Load(),
-		"estimator_singleton_checks_total":  s.SingletonChecks.Load(),
-		"estimator_singleton_hits_total":    s.SingletonHits.Load(),
-		"estimator_witnesses_total":         s.Witnesses.Load(),
-		"estimator_union_estimates_total":   s.UnionEstimates.Load(),
-		"estimator_union_level_scans_total": s.UnionLevelScans.Load(),
+		"estimator_estimates_total":            s.Estimates.Load(),
+		"estimator_no_observations_total":      s.NoObservations.Load(),
+		"estimator_singleton_checks_total":     s.SingletonChecks.Load(),
+		"estimator_singleton_hits_total":       s.SingletonHits.Load(),
+		"estimator_witnesses_total":            s.Witnesses.Load(),
+		"estimator_union_estimates_total":      s.UnionEstimates.Load(),
+		"estimator_union_level_scans_total":    s.UnionLevelScans.Load(),
+		"estimator_view_builds_total":          s.ViewBuilds.Load(),
+		"estimator_view_patches_total":         s.ViewPatches.Load(),
+		"estimator_view_buckets_rebuilt_total": s.ViewBucketsRebuilt.Load(),
 	}
 }

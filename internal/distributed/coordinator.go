@@ -259,13 +259,16 @@ func (c *Coordinator) SetObservability(reg *obs.Registry, log *obs.Logger) {
 	// no coordinator handle); export them here so singleton-bucket hit
 	// rate and witness yield ride along with the coordinator's series.
 	for name, help := range map[string]string{
-		"estimator_estimates_total":         "Witness-estimator invocations (expression/difference/intersection).",
-		"estimator_no_observations_total":   "Estimates that found no valid witness observation (ErrNoObservations).",
-		"estimator_singleton_checks_total":  "(copy, level) union-bucket singleton probes.",
-		"estimator_singleton_hits_total":    "Probes that found a singleton union bucket (valid observations r').",
-		"estimator_witnesses_total":         "Valid observations that witnessed the estimated expression.",
-		"estimator_union_estimates_total":   "Union-estimator invocations, including internal u-hat sub-estimates.",
-		"estimator_union_level_scans_total": "First-level bucket indices scanned by union estimators.",
+		"estimator_estimates_total":            "Witness-estimator invocations (expression/difference/intersection).",
+		"estimator_no_observations_total":      "Estimates that found no valid witness observation (ErrNoObservations).",
+		"estimator_singleton_checks_total":     "(copy, level) union-bucket singleton probes.",
+		"estimator_singleton_hits_total":       "Probes that found a singleton union bucket (valid observations r').",
+		"estimator_witnesses_total":            "Valid observations that witnessed the estimated expression.",
+		"estimator_union_estimates_total":      "Union-estimator invocations, including internal u-hat sub-estimates.",
+		"estimator_union_level_scans_total":    "First-level bucket indices scanned by union estimators.",
+		"estimator_view_builds_total":          "Query views built in full (a family's first read, windowed-view evaluations).",
+		"estimator_view_patches_total":         "Query views refreshed by recomputing only the buckets written since the last view.",
+		"estimator_view_buckets_rebuilt_total": "(copy, bucket) pairs recomputed by query-view builds and patches.",
 	} {
 		name := name
 		reg.CounterFunc(name, help, func() uint64 { return core.Stats.Snapshot()[name] })

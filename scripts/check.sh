@@ -49,6 +49,12 @@ echo "== GOMAXPROCS=4 go test -race -count=1 ./internal/distributed"
 GOMAXPROCS=4 go test -race -count=1 ./internal/distributed
 echo "== go test -race -count=2 -run 'Compiled|Kernel|Parallel|View|Version' ./internal/core"
 go test -race -count=2 -run 'Compiled|Kernel|Parallel|View|Version' ./internal/core
+# Query views are maintained by delta: every Family mutator must mark
+# the buckets it writes dirty, or estimates silently read a stale view.
+# Ten seconds of live fuzzing against the rebuilt-from-counters oracle
+# keeps that invariant honest as mutators are added.
+echo "== go test -run=NONE -fuzz=FuzzQueryViewMaintained -fuzztime=10s ./internal/core"
+go test -run=NONE -fuzz=FuzzQueryViewMaintained -fuzztime=10s ./internal/core
 
 # The WAL is the layer that must never lie about what is on disk; run
 # it under the race detector twice (appenders, the snapshotter, and
