@@ -108,6 +108,52 @@ func TestMergeSubcommand(t *testing.T) {
 	}
 }
 
+// TestMergeBitsWithCounters: a bit file and a counter file with the
+// same coins merge in either argument order into the same synopsis,
+// which reads back as a valid counter family.
+func TestMergeBitsWithCounters(t *testing.T) {
+	coins := []string{"-copies", "32", "-s", "8", "-seed", "3"}
+	cntDir, bitDir := t.TempDir(), t.TempDir()
+	if err := runBuild(append([]string{"-in", writeStream(t), "-out", cntDir}, coins...)); err != nil {
+		t.Fatal(err)
+	}
+	insertOnly := filepath.Join(t.TempDir(), "ins.txt")
+	var sb strings.Builder
+	for e := 0; e < 300; e++ {
+		sb.WriteString("A " + itoa(e+150) + " 1\n")
+	}
+	if err := os.WriteFile(insertOnly, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runBuild(append([]string{"-in", insertOnly, "-out", bitDir, "-bits"}, coins...)); err != nil {
+		t.Fatal(err)
+	}
+	x := filepath.Join(bitDir, "x.2lhb")
+	if err := os.Rename(filepath.Join(bitDir, "A"+fileExt), x); err != nil {
+		t.Fatal(err)
+	}
+	y := filepath.Join(cntDir, "A"+fileExt)
+	out := t.TempDir()
+	var merged [2][]byte
+	for k, args := range [][]string{{x, y}, {y, x}} {
+		path := filepath.Join(out, itoa(k)+fileExt)
+		if err := runMerge(append([]string{"-out", path}, args...)); err != nil {
+			t.Fatalf("merge %v: %v", args, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged[k] = b
+		if _, err := readFamily(path); err != nil {
+			t.Fatalf("merged synopsis does not read back: %v", err)
+		}
+	}
+	if string(merged[0]) != string(merged[1]) {
+		t.Error("merging bits then counters and counters then bits gave different synopses")
+	}
+}
+
 func TestUnionSubcommand(t *testing.T) {
 	stream := writeStream(t)
 	outDir := t.TempDir()

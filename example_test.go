@@ -53,7 +53,7 @@ func Example_deletionInvariance() {
 	// Output: true
 }
 
-// Insert-only workloads can use bit-cell synopses (64× less memory,
+// Insert-only workloads can use bit-cell synopses (≈33× less memory,
 // identical estimates, no deletions) — the representation the paper's
 // own experiments use.
 func ExampleInsertOnlyProcessor() {
@@ -67,7 +67,7 @@ func ExampleInsertOnlyProcessor() {
 	a, _ := bits.Estimate("T", 0.2)
 	b, _ := counters.Estimate("T", 0.2)
 	fmt.Println(a.Value == b.Value)
-	fmt.Println(counters.MemoryBytes()/bits.MemoryBytes() > 50)
+	fmt.Println(counters.MemoryBytes()/bits.MemoryBytes() > 30)
 	// Output:
 	// true
 	// true

@@ -5,8 +5,8 @@
 //
 // Tables never see deletions mid-scan, so this example uses the
 // insert-only bit-cell representation — the one the paper's own
-// experiments use (§5.2) — at 1/64 the memory of counter sketches with
-// identical estimates.
+// experiments use (§5.2) — at about 1/33 the memory of counter sketches
+// with identical estimates.
 //
 // Run with: go run ./examples/queryopt
 package main
@@ -79,7 +79,7 @@ func main() {
 		fmt.Printf("%-30s %12.0f %12d %+8.1f%%\n", q.sql, est.Value, truth, relErr)
 	}
 
-	// Counter sketches over the same scan would cost 64× the memory for
+	// Counter sketches over the same scan would cost ≈33× the memory for
 	// the same estimates — that headroom is why the bit representation
 	// is the right default for optimizer statistics.
 	counter, err := setsketch.NewProcessor(p.Options())

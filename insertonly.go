@@ -14,8 +14,8 @@ import (
 // InsertOnlyProcessor is the bit-cell variant of Processor for
 // insert-only workloads — the representation the paper's own
 // experiments use (§5.2: "simple bits instead of counters"). Each
-// sketch cell is one bit instead of an 8-byte counter, a 64× memory
-// reduction, and estimates are identical to what a Processor computes
+// sketch cell is one bit, where a counter sketch stores s+1 8-byte
+// counters per bucket (≈33× the memory at s = 32), and estimates are identical to what a Processor computes
 // over the same stream and seed. The trade-off is fundamental, not an
 // implementation detail: bits saturate, so deletions are impossible —
 // use Processor for general update streams.

@@ -18,8 +18,8 @@ func newInsertOnly(t testing.TB, opts Options) *InsertOnlyProcessor {
 }
 
 // TestInsertOnlyMatchesCounterProcessor: on the same insert stream and
-// options, estimates from the two processors are identical, at 1/64
-// the memory.
+// options, estimates from the two processors are identical, at about
+// 1/33 the memory.
 func TestInsertOnlyMatchesCounterProcessor(t *testing.T) {
 	opts := testOptions()
 	counter := newProcessor(t, opts)
@@ -57,8 +57,9 @@ func TestInsertOnlyMatchesCounterProcessor(t *testing.T) {
 	if cu.Value != bu.Value {
 		t.Errorf("union: counter %.2f vs bits %.2f", cu.Value, bu.Value)
 	}
-	if ratio := float64(counter.MemoryBytes()) / float64(bits.MemoryBytes()); ratio < 55 {
-		t.Errorf("memory ratio %.1f, want ≈ 64", ratio)
+	// s = 16: 8·61·17 B of counters against 31 words of bits per copy.
+	if ratio := float64(counter.MemoryBytes()) / float64(bits.MemoryBytes()); ratio < 30 || ratio > 36 {
+		t.Errorf("memory ratio %.1f, want ≈ 33", ratio)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 // the paper's own experimental study uses (§5.2: "since we are only
 // considering insert-only streams, this estimate assumes simple bits
 // (instead of counters) at each cell"). Every Θ(log M) × s × 2 cell is
-// one bit rather than an O(log N) counter — a 64× memory reduction —
-// at the cost of deletions: bits saturate, so only insertion streams
-// are supported (Delete returns ErrBitDeletion).
+// one bit; the counter sketch stores s+1 int64s per bucket (the total
+// and one side of each pair), so the bits are 32·(s+1)/s smaller, ≈33×
+// at s = 32 — at the cost of deletions: bits saturate, so only
+// insertion streams are supported (Delete returns ErrBitDeletion).
 //
 // A BitSketch built with the same (Config, seed) as a counter Sketch
 // places every element identically, and on an insert-only stream the
@@ -47,7 +48,7 @@ func NewBitSketch(cfg Config, seed uint64) (*BitSketch, error) {
 	for j := range g {
 		g[j] = hashing.NewPairBit(hashing.DeriveSeed(seed, 1, uint64(j)))
 	}
-	cells := cfg.counters()
+	cells := cfg.Buckets * cfg.SecondLevel * 2
 	return &BitSketch{
 		cfg:  cfg,
 		seed: seed,
@@ -265,40 +266,56 @@ func (f *BitFamily) Truncate(r int) (*BitFamily, error) {
 }
 
 // ToCounters converts the bit family into a counter family with the
-// same coins, setting each counter to its cell's bit (0 or 1). All
-// occupancy-based observations — emptiness, singleton checks, and
-// therefore every estimate — are preserved exactly, and the result can
-// be merged with genuine counter families of the same coins (counter
-// magnitudes stop tracking multiplicities, but no estimator reads
-// magnitudes, only signs).
+// same coins and the same occupancy: a cell is non-zero exactly when
+// its bit is set. Per bucket, the total is 0 when no cell is set, 2
+// when some pair has both cells set, and 1 otherwise; a pair's side-1
+// counter is 0 when only side 0 is set, 1 when both are, and the
+// total when only side 1 is. Emptiness, singleton checks, and
+// therefore every estimate are preserved exactly. Every counter is
+// non-negative, so merging the result with genuine counter families
+// of the same coins (or with other converted families) ORs the
+// occupancy: magnitudes stop tracking multiplicities, but no estimator
+// reads magnitudes, only signs.
 //
-// The converted family does not satisfy Sketch.Validate's multiplicity
-// invariant (bits cannot recover how many items a cell absorbed); it
-// is an occupancy summary, which is all estimation needs.
+// Bits cannot recover how many items a cell absorbed, so the result is
+// an occupancy summary, which is all estimation needs. (A pair with
+// neither cell set in an occupied bucket, which no insert stream
+// produces, converts as side 0 set.)
 func (f *BitFamily) ToCounters() *Family {
-	copies := make([]*Sketch, len(f.copies))
+	fam, err := NewFamily(f.cfg, f.seed, len(f.copies))
+	if err != nil {
+		// The bit family was built from the same validated config.
+		panic(fmt.Sprintf("core: converting validated bit family: %v", err))
+	}
+	s := f.cfg.SecondLevel
 	for i, x := range f.copies {
-		sk, err := NewSketch(f.cfg, x.seed)
-		if err != nil {
-			// The bit sketch was built from the same validated config.
-			panic(fmt.Sprintf("core: converting validated bit sketch: %v", err))
-		}
+		sk := fam.copies[i]
 		for b := 0; b < f.cfg.Buckets; b++ {
-			for j := 0; j < f.cfg.SecondLevel; j++ {
-				for v := 0; v < 2; v++ {
-					if x.bit(b, j, v) {
-						sk.counts[(b*f.cfg.SecondLevel+j)*2+v] = 1
-					}
+			var occupied, collided bool
+			for j := 0; j < s; j++ {
+				b0, b1 := x.bit(b, j, 0), x.bit(b, j, 1)
+				occupied = occupied || b0 || b1
+				collided = collided || b0 && b1
+			}
+			var t int64
+			switch {
+			case collided:
+				t = 2
+			case occupied:
+				t = 1
+			}
+			sk.totals[b] = t
+			for j := 0; j < s; j++ {
+				switch b0, b1 := x.bit(b, j, 0), x.bit(b, j, 1); {
+				case b0 && b1:
+					sk.counts[b*s+j] = 1
+				case b1:
+					sk.counts[b*s+j] = t
 				}
 			}
-			// Occupancy count from the g_1 pair (every element sets
-			// exactly one of its two cells).
-			s2 := b * f.cfg.SecondLevel * 2
-			sk.totals[b] = sk.counts[s2] + sk.counts[s2+1]
 		}
-		copies[i] = sk
 	}
-	return &Family{cfg: f.cfg, seed: f.seed, copies: copies, version: new(atomic.Uint64)}
+	return fam
 }
 
 // MemoryBytes reports the total packed footprint.

@@ -124,13 +124,18 @@ func TestBitEstimatesIdenticalToCounters(t *testing.T) {
 	}
 }
 
-func TestBitMemoryIs64xSmaller(t *testing.T) {
-	cf := mustFamily(t, DefaultConfig(), 1, 16)
-	bf := mustBitFamily(t, DefaultConfig(), 1, 16)
-	ratio := float64(cf.MemoryBytes()) / float64(bf.MemoryBytes())
-	// Counters: 8 B per cell + totals; bits: 1/8 B per cell → ≈ 65×.
-	if ratio < 55 || ratio > 70 {
-		t.Errorf("counter/bit memory ratio %.1f, want ≈ 64", ratio)
+// TestBitMemoryRatio pins the counter/bit footprint ratio exactly. Per
+// bucket, counters hold s+1 int64s (the total and side 1 of each pair)
+// against 2s bits, so the ratio is 8·(s+1)·8/(2s) = 33 at s = 32, where
+// a copy's 61·64 cells fill whole words.
+func TestBitMemoryRatio(t *testing.T) {
+	cfg := DefaultConfig()
+	cf := mustFamily(t, cfg, 1, 16)
+	bf := mustBitFamily(t, cfg, 1, 16)
+	s := float64(cfg.SecondLevel)
+	want := 8 * (s + 1) * 8 / (2 * s)
+	if ratio := float64(cf.MemoryBytes()) / float64(bf.MemoryBytes()); ratio != want {
+		t.Errorf("counter/bit memory ratio %.3f, want %.3f", ratio, want)
 	}
 }
 
@@ -291,6 +296,73 @@ func TestToCountersPreservesEstimates(t *testing.T) {
 	genuine.Insert(a[0])
 	if err := genuine.Merge(cfams["A"]); err != nil {
 		t.Fatalf("merging converted with genuine counters: %v", err)
+	}
+}
+
+// TestToCountersMergeMixed: a converted bit family merges with a
+// genuine counter family, and with another converted family, in either
+// order, and the sum holds the union's occupancy — exactly the bits of
+// one bit family fed the live elements of both inputs.
+func TestToCountersMergeMixed(t *testing.T) {
+	const r = 16
+	rng := hashing.NewRNG(23)
+	bitsA := mustBitFamily(t, checkCfg, 7, r)
+	bitsB := mustBitFamily(t, checkCfg, 7, r)
+	counters := mustFamily(t, checkCfg, 7, r)
+	wantAC := mustBitFamily(t, checkCfg, 7, r) // A ∪ live(counters)
+	wantAB := mustBitFamily(t, checkCfg, 7, r) // A ∪ B
+	for i := 0; i < 900; i++ {
+		e := rng.Uint64n(1 << 12)
+		switch i % 3 {
+		case 0:
+			bitsA.Insert(e)
+			wantAC.Insert(e)
+			wantAB.Insert(e)
+		case 1:
+			bitsB.Insert(e)
+			wantAB.Insert(e)
+		case 2:
+			counters.Update(e, 3)
+			counters.Update(e, -2)
+			wantAC.Insert(e)
+		}
+	}
+	// Churn the counters: inserted and fully deleted, so not in the union.
+	for e := uint64(1 << 20); e < 1<<20+100; e++ {
+		counters.Insert(e)
+		counters.Delete(e)
+	}
+	convA, convB := bitsA.ToCounters(), bitsB.ToCounters()
+	if convA.MemoryBytes() != counters.MemoryBytes() {
+		t.Errorf("converted family reports %d B, a counter family %d B", convA.MemoryBytes(), counters.MemoryBytes())
+	}
+	sum := func(x, y *Family) *Family {
+		m := x.Clone()
+		if err := m.Merge(y); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		x, y *Family
+		want *BitFamily
+	}{
+		{"bits + counters", convA, counters, wantAC},
+		{"bits + bits", convA, convB, wantAB},
+	} {
+		xy, yx := sum(tc.x, tc.y), sum(tc.y, tc.x)
+		if !xy.Equal(yx) {
+			t.Fatalf("%s: merge depends on the order", tc.name)
+		}
+		if err := xy.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := 0; i < r; i++ {
+			if !tc.want.Copy(i).MatchesCounters(xy.Copy(i)) {
+				t.Fatalf("%s: copy %d occupancy is not the union's bits", tc.name, i)
+			}
+		}
 	}
 }
 

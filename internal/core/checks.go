@@ -17,9 +17,8 @@ func (x *Sketch) SingletonBucket(b int) bool {
 	if x.totals[b] == 0 {
 		return false // bucket is empty
 	}
-	base := b * x.cfg.SecondLevel * 2
 	for j := 0; j < x.cfg.SecondLevel; j++ {
-		if x.counts[base+2*j] > 0 && x.counts[base+2*j+1] > 0 {
+		if x.count(b, j, 0) > 0 && x.count(b, j, 1) > 0 {
 			return false // at least two distinct elements split by g_j
 		}
 	}
@@ -40,10 +39,9 @@ func IdenticalSingletonBucket(x, y *Sketch, b int) bool {
 	if !x.SingletonBucket(b) || !y.SingletonBucket(b) {
 		return false
 	}
-	base := b * x.cfg.SecondLevel * 2
 	for j := 0; j < x.cfg.SecondLevel; j++ {
-		if (x.counts[base+2*j] > 0) != (y.counts[base+2*j] > 0) ||
-			(x.counts[base+2*j+1] > 0) != (y.counts[base+2*j+1] > 0) {
+		if (x.count(b, j, 0) > 0) != (y.count(b, j, 0) > 0) ||
+			(x.count(b, j, 1) > 0) != (y.count(b, j, 1) > 0) {
 			return false // signatures differ in at least one bit
 		}
 	}
@@ -89,13 +87,11 @@ func SingletonUnionBucketN(sketches []*Sketch, b int) bool {
 	if total == 0 {
 		return false
 	}
-	s := first.cfg.SecondLevel
-	base := b * s * 2
-	for j := 0; j < s; j++ {
+	for j := 0; j < first.cfg.SecondLevel; j++ {
 		var c0, c1 int64
 		for _, x := range sketches {
-			c0 += x.counts[base+2*j]
-			c1 += x.counts[base+2*j+1]
+			c0 += x.count(b, j, 0)
+			c1 += x.count(b, j, 1)
 		}
 		if c0 > 0 && c1 > 0 {
 			return false

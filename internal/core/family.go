@@ -37,7 +37,7 @@ type Family struct {
 	seed   uint64
 	copies []*Sketch
 	totals []int64 // len r·strideTotals; copy i at [i·st, i·st+Buckets)
-	counts []int64 // len r·strideCounts; copy i at [i·sc, i·sc+counters())
+	counts []int64 // len r·strideCounts; copy i at [i·sc, i·sc+Buckets·s), side 1 only
 
 	// version counts counter mutations (Update/Merge/Reset …); the
 	// cached query view is current while its version matches (see
@@ -50,8 +50,8 @@ type Family struct {
 	// point into (see queryview.go), copy i's word at
 	// dirty[i·arenaAlign]: one cache line per copy, so ingest workers on
 	// adjacent shards never share a line. Nil for Truncate views, whose
-	// writes mark the parent's masks through the shared sketches, and
-	// for ToCounters families: both always build their view in full.
+	// writes mark the parent's masks through the shared sketches and
+	// which always build their view in full.
 	dirty  []uint64
 	viewMu sync.Mutex
 	view   *familyView
@@ -170,8 +170,9 @@ func (c Config) DigestPackable() bool { return c.SecondLevel <= DigestMaxSecondL
 
 // Digest evaluates all r first-level hashes and r·s second-level bits
 // for e — the entire per-element hash bill — and packs them. Applying
-// the result via UpdateDigest costs s+1 additions per copy with zero
-// field arithmetic. The configuration must be DigestPackable.
+// the result via UpdateDigest costs one addition per copy plus one per
+// set second-level bit, with zero field arithmetic. The configuration
+// must be DigestPackable.
 func (f *Family) Digest(e uint64) Digest {
 	d := make(Digest, len(f.copies))
 	f.DigestInto(d, e)
@@ -192,7 +193,7 @@ func (f *Family) DigestInto(d Digest, e uint64) {
 }
 
 // UpdateDigest applies the stream update ⟨e, ±v⟩ to every copy given
-// e's precomputed digest: s+1 counter additions per copy, no hashing.
+// e's precomputed digest: counter additions only, no hashing.
 // Equivalent to Update(e, v) when d = f.Digest(e) (or the digest of any
 // aligned family).
 func (f *Family) UpdateDigest(d Digest, v int64) {
@@ -369,13 +370,11 @@ func (f *Family) Validate() error {
 	return nil
 }
 
-// MemoryBytes reports the total counter footprint across all copies —
-// the quantity the paper's space theorems bound, excluding the arena
-// alignment padding (which is an implementation artifact, not synopsis
-// state) and the O(t log M) hash-seed storage.
+// MemoryBytes reports the total counter footprint across all copies,
+// r·Buckets·(s+1) int64s — the quantity the paper's space theorems
+// bound, excluding the arena alignment padding (which is an
+// implementation artifact, not synopsis state) and the O(t log M)
+// hash-seed storage.
 func (f *Family) MemoryBytes() int {
-	if len(f.totals) == 0 && len(f.counts) == 0 {
-		return 0 // per-copy storage (ToCounters views) reports as before
-	}
 	return 8 * len(f.copies) * (f.cfg.Buckets + f.cfg.counters())
 }

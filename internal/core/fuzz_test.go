@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"testing"
 
 	"setsketch/internal/expr"
+	"setsketch/internal/hashing"
 )
 
 // FuzzDigestEquivalence drives the digest-based update kernel against
@@ -13,7 +15,11 @@ import (
 // sequence — including deletions that push counters down through zero —
 // and requires bit-identical families. Linearity is what makes the
 // digest path safe: both paths add the same ±v to the same s+1 counters
-// per copy, so any divergence is a packing or replay bug.
+// per copy, so any divergence is a packing or replay bug. All three
+// families must also read, cell by cell, exactly what a two-sided
+// reference array (the paper's X[b][j][side], driven by hashing the
+// elements directly) holds, so a one-sided layout that derives side 0
+// wrongly fails here even when the three agree.
 func FuzzDigestEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(61), uint8(32), uint8(8), []byte("\x01\x02\x03\xff\x02"))
 	f.Add(uint64(99), uint8(8), uint8(1), uint8(2), []byte{0, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -31,6 +37,11 @@ func FuzzDigestEquivalence(f *testing.F) {
 		}
 		viaDigest, _ := NewFamily(cfg, seed, r)
 		viaBatch, _ := NewFamily(cfg, seed, r)
+		// ref[i][b·s + j][side] is copy i's cell (b, j, side).
+		ref := make([][][2]int64, r)
+		for i := range ref {
+			ref[i] = make([][2]int64, cfg.Buckets*cfg.SecondLevel)
+		}
 		// Decode the byte stream as alternating (element, delta) nibbles:
 		// a tiny element domain forces collisions, repeated elements, and
 		// counters that return to zero.
@@ -44,6 +55,13 @@ func FuzzDigestEquivalence(f *testing.F) {
 			}
 			elems = append(elems, e)
 			deltas = append(deltas, v)
+			er := hashing.Reduce61(e)
+			for i, x := range direct.copies {
+				b := hashing.LSB(x.h.HashReduced(er), cfg.Buckets)
+				for j, g := range x.g {
+					ref[i][b*cfg.SecondLevel+j][g.BitReduced(er)] += v
+				}
+			}
 			direct.Update(e, v)
 			d := viaDigest.Digest(e)
 			mid := i % (r + 1)
@@ -73,6 +91,21 @@ func FuzzDigestEquivalence(f *testing.F) {
 		if !direct.Equal(viaBatch) {
 			t.Fatalf("batch digest path diverged from direct path (cfg %+v, seed %d, %d updates)",
 				cfg, seed, len(data))
+		}
+		for k, fam := range []*Family{direct, viaDigest, viaBatch} {
+			name := [...]string{"direct", "digest", "batch"}[k]
+			for i, x := range fam.copies {
+				for b := 0; b < cfg.Buckets; b++ {
+					for j := 0; j < cfg.SecondLevel; j++ {
+						for side, want := range ref[i][b*cfg.SecondLevel+j] {
+							if got := x.count(b, j, side); got != want {
+								t.Fatalf("%s copy %d: count(%d, %d, %d) = %d, two-sided reference %d (cfg %+v, seed %d)",
+									name, i, b, j, side, got, want, cfg, seed)
+							}
+						}
+					}
+				}
+			}
 		}
 	})
 }
@@ -186,6 +219,10 @@ func FuzzQueryViewMaintained(f *testing.F) {
 // FuzzReadFamily hardens deserialization: arbitrary bytes must be
 // rejected cleanly (error, not panic, not unbounded allocation), and
 // any input that IS accepted must re-serialize to a working family.
+// DecodeFamily must agree with ReadFamily on the same bytes: both
+// reject, or both accept Equal families — except that ReadFamily reads
+// one family off a stream and leaves any bytes after it, where
+// DecodeFamily takes a whole payload and rejects trailing bytes.
 func FuzzReadFamily(f *testing.F) {
 	// Seed with a genuine serialized family and some mutations.
 	fam, err := NewFamily(Config{Buckets: 61, SecondLevel: 4, FirstWise: 2}, 3, 2)
@@ -204,9 +241,23 @@ func FuzzReadFamily(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadFamily(bytes.NewReader(data))
+		// ReadFamily adopts a large-enough *bufio.Reader as its own, so
+		// what it leaves unread stays visible in rd.
+		rd := bufio.NewReader(bytes.NewReader(data))
+		got, err := ReadFamily(rd)
+		dec, decErr := DecodeFamily(data)
 		if err != nil {
+			if decErr == nil {
+				t.Fatalf("DecodeFamily accepted what ReadFamily rejects: %v", err)
+			}
 			return
+		}
+		_, trailErr := rd.ReadByte()
+		if trailing := trailErr == nil; (decErr == nil) == trailing {
+			t.Fatalf("ReadFamily accepted (trailing bytes: %v), DecodeFamily: %v", trailing, decErr)
+		}
+		if decErr == nil && !dec.Equal(got) {
+			t.Fatal("DecodeFamily and ReadFamily accepted different families")
 		}
 		// Accepted input must be internally consistent and round-trip.
 		var out bytes.Buffer

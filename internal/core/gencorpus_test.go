@@ -43,6 +43,7 @@ func TestGenSeedCorpus(t *testing.T) {
 	corrupt := append([]byte(nil), b...)
 	corrupt[len(corrupt)/3] ^= 0xff
 	write("FuzzReadFamily", "seed-corrupt-family", bytesArg(corrupt))
+	write("FuzzReadFamily", "seed-pair-sum-mismatch", bytesArg(pairSumMismatchPayload(t)))
 
 	// FuzzQueryViewMaintained tapes are 4-byte ops [op, element, delta,
 	// range] over a 4-copy family with a 2-copy Truncate view.

@@ -11,7 +11,8 @@ import "math/bits"
 //     One word per copy suffices because Config.Validate caps Buckets
 //     at hashing.FieldBits = 61.
 //   - sig[(i·Buckets+b)·wps + w] — word w of copy i / bucket b's cell
-//     signature: bit 2j+v is "second-level cell (g_j, side v) hit".
+//     signature: bit 2j+v is "second-level cell (g_j, side v) hit",
+//     side 0 read as total − side 1 (the stored counter).
 //     A bucket is a singleton iff it is occupied and no g_j pair has
 //     both sides hit: or&(or>>1)&pairMask == 0 (pairs never straddle a
 //     word because the even side always sits at an even bit offset).
@@ -23,11 +24,11 @@ import "math/bits"
 // cached view, recomputes the marked buckets only, publishes the copy
 // and clears the masks. A full build is the same refresh over a zero
 // view with every bucket marked; it runs on the first read, and on
-// every stale read of a Truncate view or a ToCounters family, which
-// have no mask of their own. (Patching occ/sig eagerly whenever a
-// counter crosses zero was measured and rejected: logging the flips
-// doubled the per-update replay cost, 4.3 → 8.6 µs on a 2-vCPU host,
-// where the mask OR is within noise.)
+// every stale read of a Truncate view, which has no mask of its own.
+// (Patching occ/sig eagerly whenever a counter crosses zero was
+// measured and rejected: logging the flips doubled the per-update
+// replay cost, 4.3 → 8.6 µs on a 2-vCPU host, where the mask OR is
+// within noise.)
 //
 // A view is immutable once published — refreshes work on a copy — so
 // concurrent estimates may share it freely. Callers keep the family's
@@ -104,7 +105,7 @@ func (f *Family) queryView() *familyView {
 // dirty buckets recomputed when the family owns its masks and has a
 // cached view, every bucket recomputed otherwise.
 func (f *Family) refreshView(ver uint64) *familyView {
-	nb, s2 := f.cfg.Buckets, 2*f.cfg.SecondLevel
+	nb, s := f.cfg.Buckets, f.cfg.SecondLevel
 	wps := sigWords(f.cfg)
 	v := &familyView{
 		version: ver,
@@ -131,22 +132,27 @@ func (f *Family) refreshView(ver uint64) *familyView {
 			*x.dirty = 0
 		}
 		rebuilt += bits.OnesCount64(dirty)
-		// Read through the copy's own slices, not the family arenas:
-		// ToCounters-built families have per-copy storage and nil arenas.
 		occ := v.occ[i]
 		sig := v.sig[i*nb*wps : (i+1)*nb*wps]
 		for ; dirty != 0; dirty &= dirty - 1 {
 			b := bits.TrailingZeros64(dirty)
+			t := x.totals[b]
 			occ &^= 1 << uint(b)
-			if x.totals[b] != 0 {
+			if t != 0 {
 				occ |= 1 << uint(b)
 			}
 			w := sig[b*wps : (b+1)*wps]
 			clear(w)
-			for j, c := range x.counts[b*s2 : (b+1)*s2] {
-				if c != 0 {
-					w[j/64] |= 1 << uint(j%64)
+			// Pair j is bits 2j (side 0, derived) and 2j+1 of word j/32.
+			for j, c1 := range x.counts[b*s : (b+1)*s] {
+				var cell uint64
+				if t-c1 != 0 {
+					cell = 1
 				}
+				if c1 != 0 {
+					cell |= 2
+				}
+				w[j/32] |= cell << uint(2*j%64)
 			}
 		}
 		v.occ[i] = occ

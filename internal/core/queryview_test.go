@@ -12,7 +12,8 @@ import (
 
 // counterViewOracle is the from-counters definition of a counter
 // family's view, one cell at a time: the reference the maintained view
-// must equal word for word at every version.
+// must equal word for word at every version. It derives side 0 of
+// each pair from the bucket total itself rather than through count.
 func counterViewOracle(f *Family) *familyView {
 	nb, s := f.cfg.Buckets, f.cfg.SecondLevel
 	wps := sigWords(f.cfg)
@@ -28,9 +29,12 @@ func counterViewOracle(f *Family) *familyView {
 			if x.totals[b] != 0 {
 				v.occ[i] |= 1 << uint(b)
 			}
-			for j, c := range x.counts[b*s*2 : (b+1)*s*2] {
-				if c != 0 {
-					v.sig[base+b*wps+j/64] |= 1 << uint(j%64)
+			for j := 0; j < s; j++ {
+				side1 := x.counts[b*s+j]
+				for side, c := range [2]int64{x.totals[b] - side1, side1} {
+					if cell := 2*j + side; c != 0 {
+						v.sig[base+b*wps+cell/64] |= 1 << uint(cell%64)
+					}
 				}
 			}
 		}

@@ -19,12 +19,16 @@ import (
 //	buckets u16, secondLevel u16, firstWise u16
 //	seed    u64               family master seed
 //	copies  u32
-//	per copy: totals then counts, each as zig-zag varint int64
+//	per copy: totals, then for every bucket b and pair j the two
+//	          cells X[b][j][0], X[b][j][1]; all zig-zag varint int64
 //	crc32   u32 (IEEE, over everything after the magic)
 //
 // Counters are varint-encoded because most of a sketch is zero or small:
 // a fresh 512-copy family serializes to a few hundred KB instead of the
-// 16 MB of raw counters.
+// 8 MB of raw counters. Memory holds only side 1 of each pair (see
+// Sketch.counts); the format keeps both, so the encoder derives side 0
+// and the decoders reject a pair that does not sum to its bucket total,
+// a state no update sequence reaches.
 
 const (
 	familyMagic   = "2LHS"
@@ -34,6 +38,17 @@ const (
 // ErrBadFormat is returned when deserialization encounters data that is
 // not a serialized sketch family or fails its checksum.
 var ErrBadFormat = errors.New("core: malformed sketch-family encoding")
+
+var errTruncated = fmt.Errorf("%w: truncated counters", ErrBadFormat)
+
+// serializedCounters returns the number of varints a family of the
+// given shape serializes: per copy, the totals and both cells of every
+// pair. Each takes at least one byte, which bounds what a header may
+// claim against the bytes actually present before anything is
+// allocated.
+func serializedCounters(cfg Config, copies int) int {
+	return copies * cfg.Buckets * (1 + 2*cfg.SecondLevel)
+}
 
 // AppendTo appends the family's serialization to buf and returns the
 // extended slice — the allocation-free encoder behind WriteTo, for
@@ -49,12 +64,16 @@ func (f *Family) AppendTo(buf []byte) []byte {
 	binary.LittleEndian.PutUint64(header[7:], f.seed)
 	buf = append(buf, header[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.copies)))
+	s := f.cfg.SecondLevel
 	for _, x := range f.copies {
 		for _, c := range x.totals {
 			buf = binary.AppendVarint(buf, c)
 		}
-		for _, c := range x.counts {
-			buf = binary.AppendVarint(buf, c)
+		for b, t := range x.totals {
+			for _, c1 := range x.counts[b*s : (b+1)*s] {
+				buf = binary.AppendVarint(buf, t-c1)
+				buf = binary.AppendVarint(buf, c1)
+			}
 		}
 	}
 	crc := crc32.ChecksumIEEE(buf[start+4:])
@@ -101,34 +120,76 @@ func DecodeFamily(data []byte) (*Family, error) {
 	if copies < 1 || copies > maxCopies {
 		return nil, fmt.Errorf("%w: copy count %d out of range", ErrBadFormat, copies)
 	}
+	p := body[19:]
+	if len(p) < serializedCounters(cfg, copies) {
+		return nil, errTruncated
+	}
 	fam, err := NewFamily(cfg, seed, copies)
 	if err != nil {
 		return nil, err
 	}
-	p := body[19:]
-	readCounters := func(cs []int64) error {
-		for i := range cs {
+	// The loops mirror Sketch.decodeCounters without first collecting
+	// the values: this is the wire hot path.
+	s := cfg.SecondLevel
+	for _, x := range fam.copies {
+		for b := range x.totals {
 			v, n := binary.Varint(p)
 			if n <= 0 {
-				return fmt.Errorf("%w: truncated counters", ErrBadFormat)
+				return nil, errTruncated
 			}
-			cs[i] = v
+			x.totals[b] = v
 			p = p[n:]
 		}
-		return nil
-	}
-	for _, x := range fam.copies {
-		if err := readCounters(x.totals); err != nil {
-			return nil, err
-		}
-		if err := readCounters(x.counts); err != nil {
-			return nil, err
+		for b, t := range x.totals {
+			c := x.counts[b*s : (b+1)*s]
+			for j := range c {
+				c0, n := binary.Varint(p)
+				if n <= 0 {
+					return nil, errTruncated
+				}
+				p = p[n:]
+				c1, n := binary.Varint(p)
+				if n <= 0 {
+					return nil, errTruncated
+				}
+				p = p[n:]
+				if c0+c1 != t {
+					return nil, errPairSum(b, j, c0+c1, t)
+				}
+				c[j] = c1
+			}
 		}
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(p))
 	}
 	return fam, nil
+}
+
+// decodeCounters fills the sketch's counters from one copy's
+// serialized values — the totals, then both cells of every pair,
+// bucket by bucket — and returns the values after them. Only side 1 is
+// stored; a pair whose cells do not sum to the bucket total is
+// rejected. vals must hold at least one copy's values.
+func (x *Sketch) decodeCounters(vals []int64) ([]int64, error) {
+	nb, s := x.cfg.Buckets, x.cfg.SecondLevel
+	copy(x.totals, vals[:nb])
+	pairs := vals[nb : nb+2*nb*s]
+	for b, t := range x.totals {
+		c := x.counts[b*s : (b+1)*s]
+		for j := range c {
+			c0, c1 := pairs[2*(b*s+j)], pairs[2*(b*s+j)+1]
+			if c0+c1 != t {
+				return nil, errPairSum(b, j, c0+c1, t)
+			}
+			c[j] = c1
+		}
+	}
+	return vals[nb+2*nb*s:], nil
+}
+
+func errPairSum(b, j int, sum, total int64) error {
+	return fmt.Errorf("%w: bucket %d pair %d sums to %d, total is %d", ErrBadFormat, b, j, sum, total)
 }
 
 // crcReader tees reads into a CRC32 accumulator.
@@ -176,29 +237,19 @@ func ReadFamily(r io.Reader) (*Family, error) {
 	if copies < 1 || copies > maxCopies {
 		return nil, fmt.Errorf("%w: copy count %d out of range", ErrBadFormat, copies)
 	}
-	fam, err := NewFamily(cfg, seed, copies)
-	if err != nil {
-		return nil, err
-	}
+	// A stream's length is unknown up front, so the values are read
+	// before the family is allocated: memory grows with the counters
+	// actually present, never with what the header claims.
 	// Varint decoding needs byte-granular reads that also feed the CRC.
 	byter := &crcByteReader{cr: cr}
-	readCounters := func(cs []int64) error {
-		for i := range cs {
-			v, err := binary.ReadVarint(byter)
-			if err != nil {
-				return err
-			}
-			cs[i] = v
+	n := serializedCounters(cfg, copies)
+	vals := make([]int64, 0, min(n, 1<<16))
+	for len(vals) < n {
+		v, err := binary.ReadVarint(byter)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", errTruncated, err)
 		}
-		return nil
-	}
-	for _, x := range fam.copies {
-		if err := readCounters(x.totals); err != nil {
-			return nil, fmt.Errorf("%w: truncated counters: %v", ErrBadFormat, err)
-		}
-		if err := readCounters(x.counts); err != nil {
-			return nil, fmt.Errorf("%w: truncated counters: %v", ErrBadFormat, err)
-		}
+		vals = append(vals, v)
 	}
 	wantCRC := cr.crc
 	var trailer [4]byte
@@ -207,6 +258,15 @@ func ReadFamily(r io.Reader) (*Family, error) {
 	}
 	if got := binary.LittleEndian.Uint32(trailer[:]); got != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch (got %#x, want %#x)", ErrBadFormat, got, wantCRC)
+	}
+	fam, err := NewFamily(cfg, seed, copies)
+	if err != nil {
+		return nil, err
+	}
+	for _, x := range fam.copies {
+		if vals, err = x.decodeCounters(vals); err != nil {
+			return nil, err
+		}
 	}
 	return fam, nil
 }

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +116,36 @@ func TestReadFamilyRejectsCorruption(t *testing.T) {
 	badVer[4] = 99
 	if _, err := ReadFamily(bytes.NewReader(badVer)); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("bad version: err = %v, want ErrBadFormat", err)
+	}
+}
+
+// pairSumMismatchPayload returns a well-formed, checksum-valid encoding
+// of an empty family except that copy 0's first pair reads (1, 0)
+// against a bucket total of 0 — a state no update sequence reaches.
+func pairSumMismatchPayload(t testing.TB) []byte {
+	t.Helper()
+	cfg := Config{Buckets: 8, SecondLevel: 4, FirstWise: 3}
+	f := mustFamily(t, cfg, 5, 2)
+	b := f.AppendTo(nil)
+	// Every counter of an empty family is the one-byte varint 0; the
+	// first pair's side 0 follows the magic, header, copy count, and
+	// copy 0's totals. Zig-zag 2 is +1.
+	b[4+15+4+cfg.Buckets] = 2
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[4:len(b)-4]))
+	return b
+}
+
+// TestDecodersRejectPairSumMismatch: memory stores one side of each
+// pair and derives the other from the bucket total, so a payload whose
+// pair does not sum to its total has no in-memory form. Both decoders
+// must refuse it rather than silently keep side 1 only.
+func TestDecodersRejectPairSumMismatch(t *testing.T) {
+	b := pairSumMismatchPayload(t)
+	if _, err := DecodeFamily(b); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "sums to") {
+		t.Errorf("DecodeFamily: err = %v, want ErrBadFormat for the pair sum", err)
+	}
+	if _, err := ReadFamily(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "sums to") {
+		t.Errorf("ReadFamily: err = %v, want ErrBadFormat for the pair sum", err)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"setsketch/internal/hashing"
 )
@@ -44,9 +45,15 @@ type Config struct {
 
 	// FirstWise is the independence degree t of the first-level hash
 	// family. §3.6 shows t = Θ(log 1/ε) suffices; the default of 8
-	// covers ε down to well below 1%.
+	// covers ε down to well below 1%, and the cap of maxFirstWise is
+	// far beyond any useful ε.
 	FirstWise int
 }
+
+// maxFirstWise caps Config.FirstWise. Each copy stores t polynomial
+// coefficients, so without a cap a decoded header could make a few
+// bytes of payload build gigabytes of hash functions.
+const maxFirstWise = 64
 
 // DefaultConfig returns the configuration used throughout the paper's
 // experimental study (§5): s = 32 second-level functions, 8-wise
@@ -67,11 +74,15 @@ func (c Config) Validate() error {
 	if c.FirstWise < 2 {
 		return fmt.Errorf("core: FirstWise = %d, need at least pairwise (2)", c.FirstWise)
 	}
+	if c.FirstWise > maxFirstWise {
+		return fmt.Errorf("core: FirstWise = %d exceeds %d", c.FirstWise, maxFirstWise)
+	}
 	return nil
 }
 
-// counters returns the number of second-level counters in one sketch.
-func (c Config) counters() int { return c.Buckets * c.SecondLevel * 2 }
+// counters returns the number of stored second-level counters in one
+// sketch: one per pair (side 1; side 0 is derived, see Sketch.counts).
+func (c Config) counters() int { return c.Buckets * c.SecondLevel }
 
 // Sketch is a single 2-level hash sketch instance: one first-level hash
 // function, s second-level binary hash functions, and the counter
@@ -92,13 +103,17 @@ type Sketch struct {
 
 	// totals[b] is the sum of net frequencies of all elements in
 	// first-level bucket b — the single O(log N) counter per bucket
-	// that the set-union estimator needs (§3.3). It equals
-	// counts[b][j][0] + counts[b][j][1] for every j, kept separately
-	// so emptiness tests are O(1).
+	// that the set-union estimator needs (§3.3), and an O(1) emptiness
+	// test.
 	totals []int64
 
-	// counts is the flattened Θ(log M) × s × 2 counter array;
-	// entry (b, j, bit) lives at index (b·s + j)·2 + bit.
+	// counts holds side 1 of every second-level pair of the paper's
+	// Θ(log M) × s × 2 array: X[b][j][1] lives at index b·s + j. An
+	// update adds its v to the total and to exactly one side of every
+	// pair, so X[b][j][0] + X[b][j][1] = totals[b] always holds, and
+	// side 0 is derived as totals[b] − counts[b·s + j] instead of
+	// stored (see count). The identity is exact in wrapping int64
+	// arithmetic, so it survives illegal deletions too.
 	counts []int64
 
 	// dirty is the copy's dirty-bucket mask: bit b is set when bucket
@@ -160,8 +175,9 @@ func (x *Sketch) Seed() uint64 { return x.seed }
 
 // Update applies the stream update ⟨e, ±v⟩: it adds v to the total
 // counter of bucket LSB(h(e)) and to the matching second-level counter
-// under every g_j (§3.1). Cost is s+1 counter additions plus s+1 hash
-// evaluations per stream item.
+// under every g_j (§3.1). Only side-1 counters are stored, so the cost
+// is one total addition, one addition per g_j(e) = 1 (s/2 on average),
+// and s+1 hash evaluations per stream item.
 func (x *Sketch) Update(e uint64, v int64) {
 	x.updateReduced(hashing.Reduce61(e), v)
 }
@@ -173,9 +189,12 @@ func (x *Sketch) updateReduced(er uint64, v int64) {
 	b := hashing.LSB(x.h.HashReduced(er), x.cfg.Buckets)
 	*x.dirty |= 1 << uint(b)
 	x.totals[b] += v
-	base := b * x.cfg.SecondLevel * 2
+	s := x.cfg.SecondLevel
+	c := x.counts[b*s : b*s+s]
 	for j, g := range x.g {
-		x.counts[base+2*j+g.BitReduced(er)] += v
+		if g.BitReduced(er) == 1 {
+			c[j] += v
+		}
 	}
 }
 
@@ -183,10 +202,11 @@ func (x *Sketch) updateReduced(er uint64, v int64) {
 // path needs to know about an element — the first-level bucket in the
 // low digestBucketBits bits (buckets range over [0, 61), so 6 bits
 // suffice) and the s second-level bits above them. Replaying a packed
-// word is s+1 counter additions with zero field arithmetic, which is
-// what makes digests worth caching: the hashes are a pure function of
-// (seed, element), so the expensive part is paid once per distinct
-// element rather than once per stream item.
+// word is one total addition plus one per set second-level bit, with
+// zero field arithmetic, which is what makes digests worth caching:
+// the hashes are a pure function of (seed, element), so the expensive
+// part is paid once per distinct element rather than once per stream
+// item.
 const (
 	digestBucketBits = 6
 	digestBucketMask = 1<<digestBucketBits - 1
@@ -200,21 +220,20 @@ func (x *Sketch) digestWord(er uint64) uint64 {
 	return uint64(b) | hashing.PackBits(x.g, er)<<digestBucketBits
 }
 
-// applyDigest replays a packed digest word as s+1 counter additions.
-// By construction it touches exactly the counters updateReduced would.
-// The bucket's counter pairs are re-sliced into a window first so the
-// loop's index arithmetic is provably in-bounds (j+1 < len(c)), letting
-// the compiler drop the per-counter bounds checks on the hot path.
+// applyDigest replays a packed digest word: the total plus the side-1
+// counter of every set second-level bit, about s/2 additions. By
+// construction it touches exactly the counters updateReduced would.
+// The bits are masked to s so a malformed word cannot reach past the
+// bucket. (A branch-free add over all s lanes, c[j] += v & −bit,
+// measured slower than this set-bit walk.)
 func (x *Sketch) applyDigest(w uint64, v int64) {
 	b := int(w & digestBucketMask)
 	*x.dirty |= 1 << uint(b)
 	x.totals[b] += v
-	s2 := x.cfg.SecondLevel * 2
-	c := x.counts[b*s2 : b*s2+s2]
-	bits := w >> digestBucketBits
-	for j := 0; j+2 <= len(c); j += 2 {
-		c[j+int(bits&1)] += v
-		bits >>= 1
+	s := x.cfg.SecondLevel
+	c := x.counts[b*s : b*s+s]
+	for bs := w >> digestBucketBits & (1<<uint(s) - 1); bs != 0; bs &= bs - 1 {
+		c[bits.TrailingZeros64(bs)] += v
 	}
 }
 
@@ -224,9 +243,14 @@ func (x *Sketch) Insert(e uint64) { x.Update(e, 1) }
 // Delete is Update(e, −1).
 func (x *Sketch) Delete(e uint64) { x.Update(e, -1) }
 
-// count returns counter (b, j, bit).
+// count returns counter (b, j, bit), deriving side 0 from the bucket
+// total.
 func (x *Sketch) count(b, j, bit int) int64 {
-	return x.counts[(b*x.cfg.SecondLevel+j)*2+bit]
+	c1 := x.counts[b*x.cfg.SecondLevel+j]
+	if bit == 1 {
+		return c1
+	}
+	return x.totals[b] - c1
 }
 
 // BucketTotal returns the total live count of first-level bucket b.
@@ -309,10 +333,10 @@ func (x *Sketch) Equal(y *Sketch) bool {
 	return true
 }
 
-// Validate checks internal invariants that hold for every legal update
-// stream: all counters non-negative and every second-level pair summing
-// to the bucket total. A violation indicates illegal deletions (net
-// frequency driven negative) or data corruption.
+// Validate checks the invariant that holds for every legal update
+// stream: all counters, both sides of every pair, non-negative. A
+// violation indicates illegal deletions (net frequency driven
+// negative). Every pair sums to its bucket total by construction.
 func (x *Sketch) Validate() error {
 	for b := 0; b < x.cfg.Buckets; b++ {
 		if x.totals[b] < 0 {
@@ -322,10 +346,6 @@ func (x *Sketch) Validate() error {
 			c0, c1 := x.count(b, j, 0), x.count(b, j, 1)
 			if c0 < 0 || c1 < 0 {
 				return fmt.Errorf("core: counter (%d, %d) negative: (%d, %d)", b, j, c0, c1)
-			}
-			if c0+c1 != x.totals[b] {
-				return fmt.Errorf("core: bucket %d second-level pair %d sums to %d, total is %d",
-					b, j, c0+c1, x.totals[b])
 			}
 		}
 	}

@@ -35,6 +35,7 @@ func TestConfigValidate(t *testing.T) {
 		{Buckets: 62, SecondLevel: 32, FirstWise: 8},
 		{Buckets: 61, SecondLevel: 0, FirstWise: 8},
 		{Buckets: 61, SecondLevel: 32, FirstWise: 1},
+		{Buckets: 61, SecondLevel: 32, FirstWise: maxFirstWise + 1},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -190,7 +191,7 @@ func TestFirstLevelGeometric(t *testing.T) {
 			t.Errorf("bucket %d holds fraction %.4f, want ≈ %.4f", l, dist[l], want)
 		}
 	}
-	if x.MemoryBytes() != 8*(61+61*32*2) {
+	if x.MemoryBytes() != 8*(61+61*32) {
 		t.Errorf("MemoryBytes = %d", x.MemoryBytes())
 	}
 }

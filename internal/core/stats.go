@@ -39,7 +39,7 @@ type EstimatorStats struct {
 	UnionLevelScans atomic.Uint64
 	// ViewBuilds counts counter-family query views built in full: a
 	// family's first read (fresh clones included), and every stale read
-	// of a Truncate view or a ToCounters family.
+	// of a Truncate view.
 	ViewBuilds atomic.Uint64
 	// ViewPatches counts counter-family query views refreshed from the
 	// cached one by recomputing only the buckets written since.

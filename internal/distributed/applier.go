@@ -30,13 +30,14 @@ type digKey struct {
 type Applier struct {
 	c *Coordinator
 
-	scratch *core.Family // digest-evaluation family, built on first miss
-	idx     map[digKey]int
-	entries []wal.DigestUpdate
-	elems   []uint64 // cache-miss elements, aligned with missIdx
-	missIdx []int
-	marks   []bool // per-shard touched flags, reset after each batch
-	order   []int  // ascending touched-shard indexes
+	scratch  *core.Family // digest-evaluation family, built on first miss
+	idx      map[digKey]int
+	entries  []wal.DigestUpdate
+	elems    []uint64 // cache-miss elements, aligned with missIdx
+	missIdx  []int
+	missDigs []core.Digest // r-word views into one session-owned slab
+	marks    []bool        // per-shard touched flags, reset after each batch
+	order    []int         // ascending touched-shard indexes
 }
 
 // NewApplier returns a fresh per-session applier. Sessions call this
@@ -102,11 +103,13 @@ func (a *Applier) ApplyUpdates(site string, ups []datagen.Update) error {
 // a no-op on every counter), and resolves each survivor's packed
 // digest — from the coordinator's shared cache when armed, batch-
 // computing only the misses on the session's own scratch family. The
-// returned entries alias the applier's reusable buffer and are valid
-// until the next call; digests themselves are immutable (cache hits
-// are shared, misses are freshly allocated). Mirrors wal.DigestUpdates
-// with session-owned buffers, so the warm full-hit path allocates
-// nothing.
+// returned entries alias the applier's reusable buffers and are valid
+// until the next call: cache hits are the cache's immutable copies,
+// misses are computed into the session's own miss slab, which the
+// cache copies from on Install and so never retains. Mirrors
+// wal.DigestUpdates with session-owned buffers, so the warm full-hit
+// path allocates nothing, and neither does a miss once the slab has
+// grown to the session's largest batch.
 func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 	c := a.c
 	clear(a.idx)
@@ -150,7 +153,8 @@ func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 		if a.scratch == nil {
 			a.scratch, _ = c.coins.NewFamily() // coins validated at construction
 		}
-		md := a.scratch.DigestBatch(a.elems)
+		md := a.missDigests(len(a.elems))
+		a.scratch.DigestBatchInto(md, a.elems)
 		for j, i := range a.missIdx {
 			kept[i].Digest = md[j]
 		}
@@ -163,6 +167,20 @@ func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 		}
 	}
 	return kept
+}
+
+// missDigests returns n r-word digest buffers backed by the session's
+// miss slab, growing it when a batch has more misses than any before.
+func (a *Applier) missDigests(n int) []core.Digest {
+	if len(a.missDigs) < n {
+		r := a.c.coins.Copies
+		slab := make([]uint64, n*r)
+		a.missDigs = make([]core.Digest, n)
+		for k := range a.missDigs {
+			a.missDigs[k] = core.Digest(slab[k*r : (k+1)*r : (k+1)*r])
+		}
+	}
+	return a.missDigs[:n]
 }
 
 // markShards computes the ascending set of stripes this batch touches

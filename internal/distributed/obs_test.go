@@ -76,6 +76,14 @@ func TestSessionMetricsAckPath(t *testing.T) {
 	sent := func(typ string) uint64 {
 		return counter(obs.Label("stream_frames_sent_total", "type", typ))
 	}
+	// The server counts a reply only after its conn.Write returns, so
+	// the client can read the heartbeat's ack before the server has
+	// counted it: wait for the last reply's accounting first.
+	wantHandled := uint64(3 + deltas) // hello + batch + deltas + heartbeat
+	handled := func() uint64 { return reg.Histogram("stream_handle_seconds", "", nil).Count() }
+	for deadline := time.Now().Add(5 * time.Second); (sent("ack") < deltas+2 || handled() < wantHandled) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	for typ, want := range map[string]uint64{
 		"hello": 1, "update_batch": 1, "delta": deltas, "heartbeat": 1, "unknown": 0,
 	} {
@@ -111,8 +119,7 @@ func TestSessionMetricsAckPath(t *testing.T) {
 		t.Errorf("deltas merged = %d, want %d", got, deltas)
 	}
 	// Every replied frame passed through the ack-latency histogram.
-	wantHandled := uint64(3 + deltas) // hello + batch + deltas + heartbeat
-	if got := reg.Histogram("stream_handle_seconds", "", nil).Count(); got != wantHandled {
+	if got := handled(); got != wantHandled {
 		t.Errorf("handle latency observations = %d, want %d", got, wantHandled)
 	}
 

@@ -10,21 +10,25 @@ import (
 // (stored coins, element), so the full per-element hash bill — r
 // first-level polynomial evaluations plus r·s second-level bits — can
 // be computed once, packed into one word per copy (core.Digest), cached
-// across the stream, and replayed as s+1 branchless counter additions
-// per copy. On the skewed streams the paper evaluates (§5, Zipfian
-// multiplicities), the handful of heavy hitters dominating the update
-// volume hit the cache almost always, so the amortized per-update cost
-// drops from ~r·(t−1+s) field multiplications to r·(s+1) plain adds.
+// across the stream, and replayed as plain counter additions: the
+// bucket total plus one side-1 counter per set second-level bit. On the
+// skewed streams the paper evaluates (§5, Zipfian multiplicities), the
+// handful of heavy hitters dominating the update volume hit the cache
+// almost always, so the amortized per-update cost drops from
+// ~r·(t−1+s) field multiplications to about r·(s/2+1) plain adds.
 //
 // The cache is direct-mapped over a power-of-two slot array, keyed by a
 // seed-derived mix of the element so adversarial element sets cannot be
 // aimed at one slot. It carries no lock of its own: the ingest engine
 // touches it only on the producer side under the engine mutex, and the
 // distributed coordinator shares one across sessions under its dmu.
-// Entries are immutable once built: an eviction installs a freshly
-// allocated digest and abandons the old one to the garbage collector,
-// so digests already riding in queued work items stay valid without
-// copying or locking.
+// Install copies the digest into an r-word allocation the cache owns,
+// so the cache retains exactly slots × r words and never the caller's
+// memory (a view into a DigestBatch slab would keep the whole batch
+// slab alive for as long as one of its entries survived). Entries are
+// immutable once installed: an eviction only drops the reference and
+// abandons the old copy to the garbage collector, so digests already
+// riding in queued work items stay valid without locking.
 
 // DigestCache maps elements to their packed family digests. It is
 // exported for the distributed coordinator's raw-update path, which
@@ -91,15 +95,18 @@ func (c *DigestCache) Contains(e uint64) bool {
 	return c.digs[s] != nil && c.elems[s] == e
 }
 
-// Install stores a freshly computed digest in e's slot, evicting
-// whatever lived there. d must never be mutated after Install.
+// Install stores a copy of e's digest in e's slot, evicting whatever
+// lived there. The cache keeps no reference to d, so the caller may
+// reuse its storage at once.
 func (c *DigestCache) Install(e uint64, d core.Digest) {
 	s := c.slot(e)
 	if c.digs[s] != nil {
 		c.evictions.Inc()
 	}
+	own := make(core.Digest, len(d))
+	copy(own, d)
 	c.elems[s] = e
-	c.digs[s] = d
+	c.digs[s] = own
 }
 
 // digestGroup is one family's worth of coalesced, digest-resolved

@@ -55,6 +55,14 @@ go test -race -count=2 -run 'Compiled|Kernel|Parallel|View|Version' ./internal/c
 # keeps that invariant honest as mutators are added.
 echo "== go test -run=NONE -fuzz=FuzzQueryViewMaintained -fuzztime=10s ./internal/core"
 go test -run=NONE -fuzz=FuzzQueryViewMaintained -fuzztime=10s ./internal/core
+# Counters store one side of each second-level pair and derive the
+# other from the bucket total: the replay loops walk set digest bits
+# against a two-sided reference, and the decoders reject pairs that do
+# not sum to their total. Ten seconds each keeps both honest.
+echo "== go test -run=NONE -fuzz=FuzzDigestEquivalence -fuzztime=10s ./internal/core"
+go test -run=NONE -fuzz=FuzzDigestEquivalence -fuzztime=10s ./internal/core
+echo "== go test -run=NONE -fuzz=FuzzReadFamily -fuzztime=10s ./internal/core"
+go test -run=NONE -fuzz=FuzzReadFamily -fuzztime=10s ./internal/core
 
 # The WAL is the layer that must never lie about what is on disk; run
 # it under the race detector twice (appenders, the snapshotter, and
