@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race race-ingest bench bench-ingest bench-update bench-wal bench-e2e bench-compare
+.PHONY: check lint vet build test race race-ingest bench
 
 check:
 	./scripts/check.sh
@@ -29,28 +29,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-bench-ingest:
-	$(GO) test -run xxx -bench BenchmarkIngest -benchtime 1s .
-
-bench-update:
-	$(GO) test -run xxx -bench '^(BenchmarkUpdate|BenchmarkUpdateDigest|BenchmarkUpdateDigestCompute|BenchmarkUpdateDigestComputeBatch|BenchmarkMergeFlat)$$' -benchtime 1s .
-
-# WAL append throughput per fsync policy and recovery time vs WAL
-# length (full numbers land in BENCH_wal.json via `make bench`).
-bench-wal:
-	$(GO) test -run xxx -bench '^(BenchmarkWALAppend|BenchmarkRecovery)$$' -benchtime 1s .
-
-# End-to-end proof: sketchbench sessions over TCP into a live sketchd,
-# swept across -sessions and server GOMAXPROCS (writes BENCH_e2e.json).
-bench-e2e:
-	./scripts/bench.sh e2e
-
-# Diff two BENCH_*.json files and fail on >10% ns/op regressions:
-#   make bench-compare OLD=old/BENCH_update.json NEW=BENCH_update.json
-bench-compare:
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
-
-# bench regenerates the BENCH_*.json files from fresh benchmark runs on
-# this host (see scripts/bench.sh).
+# bench runs the repository benchmark (BENCHMARK.json): a live sketchd
+# driven over TCP per workload, with end-to-end and per-layer metrics
+# (see bench/README.md for flags, -trace, -out and -compare).
 bench:
-	./scripts/bench.sh
+	bash bench/run.sh

@@ -10,7 +10,7 @@
 //
 // With -updates N it instead emits the continuous Zipf/delete-ratio
 // load the benchmarks use (datagen.LoadGen — the same workload
-// definition behind cmd/sketchbench and BenchmarkIngestCoalesced):
+// definition behind the repository benchmark in bench/):
 //
 //	streamgen -updates 1000000 -streams A,B,C -zipf 1.0 \
 //	          -support 16384 -deletes 0.1 -seed 7 > updates.txt

@@ -1,8 +1,8 @@
 // Package obslint replaces the grep-based docs lint with AST-level
 // truth: every obs metric registered in code must follow the naming
-// scheme and be documented in OPERATIONS.md, every sketchd and
-// sketchbench flag must be documented in OPERATIONS.md or QUERIES.md,
-// and every query-language keyword must appear in QUERIES.md.
+// scheme and be documented in OPERATIONS.md, every sketchd flag must
+// be documented in OPERATIONS.md or QUERIES.md, and every
+// query-language keyword must appear in QUERIES.md.
 //
 // Metric registrations are calls to Counter/Gauge/Histogram/
 // CounterFunc/GaugeFunc on an obs.Registry. The series name is
@@ -17,8 +17,8 @@
 // must not end in _total.
 //
 // Flags are fs.String/Bool/... registrations in package main under a
-// directory named sketchd or sketchbench; each must appear as `-name`
-// in OPERATIONS.md or QUERIES.md. Keywords are ALL-CAPS string
+// directory named sketchd; each must appear as `-name` in
+// OPERATIONS.md or QUERIES.md. Keywords are ALL-CAPS string
 // literals in packages cq and expr; each must appear in QUERIES.md.
 package obslint
 
@@ -64,12 +64,9 @@ var (
 	keywordRe = regexp.MustCompile(`^[A-Z]{2,}$`)
 )
 
-// flagCheckedDirs are the command directories whose flags must be
-// documented: the operator-facing daemons and tools.
-var flagCheckedDirs = map[string]bool{
-	"sketchd":     true,
-	"sketchbench": true,
-}
+// flagCheckedDir is the command directory whose flags must be
+// documented: the operator-facing daemon.
+const flagCheckedDir = "sketchd"
 
 // flagMethods are the *flag.FlagSet registration methods whose first
 // argument is the flag name.
@@ -81,7 +78,7 @@ var flagMethods = map[string]bool{
 func run(pass *analysis.Pass) error {
 	docs := newDocSet(pass.ModDir)
 	checkMetrics(pass, docs)
-	if pass.Pkg.Name() == "main" && flagCheckedDirs[filepath.Base(pass.Dir)] {
+	if pass.Pkg.Name() == "main" && filepath.Base(pass.Dir) == flagCheckedDir {
 		checkFlags(pass, docs)
 	}
 	if name := pass.Pkg.Name(); name == "cq" || name == "expr" {

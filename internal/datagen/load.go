@@ -9,10 +9,10 @@ import (
 )
 
 // Continuous load generation: the one workload definition shared by the
-// benchmarks. cmd/sketchbench, cmd/streamgen -updates, and the ingest
-// benchmarks in bench_test.go all draw from a LoadGen, so "Zipf(1.0)
-// over 2^14 elements with 10% deletions" means exactly the same update
-// stream everywhere a number is reported.
+// benchmarks. The repository benchmark (bench/) and cmd/streamgen
+// -updates both draw from a LoadGen, so "Zipf(1.0) over 2^14 elements
+// with 10% deletions" means exactly the same update stream everywhere a
+// number is reported.
 
 // zipfSampler draws elements i.i.d. from a Zipf(theta) frequency law
 // over a fixed support, by inverse-CDF search over precomputed

@@ -10,8 +10,9 @@ import (
 // Frame-codec benchmarks: the per-batch cost of the binary session
 // encoding on both ends, isolated from the network. Together with the
 // alloc pins in alloc_test.go these keep the zero-alloc wire path from
-// bit-rotting: check.sh smokes them on every run, and full numbers
-// land in BENCH_e2e.json's codec block via scripts/bench.sh.
+// bit-rotting: check.sh smokes them on every run. The wire cost in a
+// live session is the repository benchmark's
+// distributed.wire_us_per_batch probe (bash bench/run.sh -trace 1).
 
 // BenchmarkUpdateBatchEncodeFrame: build one 64-update batch frame in a
 // reused buffer (the client's SendUpdates encode half).

@@ -1,8 +1,10 @@
 package distributed
 
 import (
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,10 +27,13 @@ func sessionUpdates(seed uint64, n int) []datagen.Update {
 	return ups
 }
 
-// TestStreamingSessionRawUpdates: a session forwarding raw update
-// batches yields coordinator synopses bit-identical to a one-shot push
+// TestStreamingSessionRawUpdates: sessions forwarding raw update
+// batches yield coordinator synopses bit-identical to a one-shot push
 // of the same updates — the linearity exactness the protocol depends
-// on — while the session stays open across batches and heartbeats.
+// on — while each session stays open across batches and heartbeats.
+// With several sessions, each on its own connection and site, all
+// stream concurrently into one coordinator (run under -race by
+// scripts/check.sh), so the concurrent session paths are covered too.
 func TestStreamingSessionRawUpdates(t *testing.T) {
 	ups := sessionUpdates(21, 2000)
 
@@ -44,43 +49,64 @@ func TestStreamingSessionRawUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord, _ := NewCoordinator(testCoins)
-	addr, shutdown := startServer(t, coord)
-	defer shutdown()
+	for _, sessions := range []int{1, 3} {
+		t.Run(fmt.Sprintf("sessions=%d", sessions), func(t *testing.T) {
+			coord, _ := NewCoordinator(testCoins)
+			addr, shutdown := startServer(t, coord)
+			defer shutdown()
+			var wg sync.WaitGroup
+			for k := 0; k < sessions; k++ {
+				// Session k streams a contiguous share of the updates.
+				part := ups[k*len(ups)/sessions : (k+1)*len(ups)/sessions]
+				wg.Add(1)
+				go func(k int, part []datagen.Update) {
+					defer wg.Done()
+					if err := streamRawUpdates(addr, fmt.Sprintf("edge-%d", k), part); err != nil {
+						t.Errorf("session %d: %v", k, err)
+					}
+				}(k, part)
+			}
+			wg.Wait()
+			for _, name := range []string{"A", "B"} {
+				got, want := coord.Family(name), refCoord.Family(name)
+				if got == nil || !got.Equal(want) {
+					t.Errorf("stream %q: streamed synopsis differs from one-shot push", name)
+				}
+			}
+			if coord.Updates() != uint64(len(ups)) {
+				t.Errorf("coordinator credited %d updates, want %d", coord.Updates(), len(ups))
+			}
+		})
+	}
+}
+
+// streamRawUpdates opens its own connection and session as site and
+// forwards ups in batches of 250 with a heartbeat after each; the
+// session's final acked count must equal what it sent.
+func streamRawUpdates(addr, site string, ups []datagen.Update) error {
 	cli, err := Dial(addr)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer cli.Close()
-	sess, err := cli.OpenStream("edge", testCoins)
+	sess, err := cli.OpenStream(site, testCoins)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	var accepted uint64
 	for i := 0; i < len(ups); i += 250 {
-		end := i + 250
-		if end > len(ups) {
-			end = len(ups)
-		}
+		end := min(i+250, len(ups))
 		if accepted, err = sess.SendUpdates(ups[i:end]); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if _, err := sess.Heartbeat(); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	if accepted != uint64(len(ups)) {
-		t.Errorf("session accepted %d updates, want %d", accepted, len(ups))
+		return fmt.Errorf("session accepted %d updates, want %d", accepted, len(ups))
 	}
-	for _, name := range []string{"A", "B"} {
-		got, want := coord.Family(name), refCoord.Family(name)
-		if got == nil || !got.Equal(want) {
-			t.Errorf("stream %q: streamed synopsis differs from one-shot push", name)
-		}
-	}
-	if coord.Updates() != uint64(len(ups)) {
-		t.Errorf("coordinator credited %d updates, want %d", coord.Updates(), len(ups))
-	}
+	return nil
 }
 
 // TestStreamingSessionDeltas: an ingest engine flushing periodic

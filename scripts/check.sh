@@ -36,10 +36,6 @@ go test -race ./...
 # package under -race -count=2 is minutes of statistical tests).
 echo "== go test -race -count=2 ./internal/ingest ./internal/distributed ./internal/cq"
 go test -race -count=2 ./internal/ingest ./internal/distributed ./internal/cq
-# sketchbench runs one goroutine per session against a live server in
-# its tests — the load-generator client itself must be race-clean.
-echo "== go test -race -count=2 ./cmd/sketchbench"
-go test -race -count=2 ./cmd/sketchbench
 # The sharded coordinator's whole point is concurrent sessions on
 # disjoint shards; force at least 4-way parallelism under the race
 # detector so shard/fence/vmu interleavings are exercised even when
@@ -63,6 +59,13 @@ echo "== go test -run=NONE -fuzz=FuzzDigestEquivalence -fuzztime=10s ./internal/
 go test -run=NONE -fuzz=FuzzDigestEquivalence -fuzztime=10s ./internal/core
 echo "== go test -run=NONE -fuzz=FuzzReadFamily -fuzztime=10s ./internal/core"
 go test -run=NONE -fuzz=FuzzReadFamily -fuzztime=10s ./internal/core
+# The session codec is the first code a peer's bytes reach: the update
+# batch and delta decoders must reject any payload they cannot parse
+# without panicking, and round-trip whatever they accept exactly.
+echo "== go test -run=NONE -fuzz='^FuzzDecodeUpdateBatch\$' -fuzztime=10s ./internal/distributed"
+go test -run=NONE -fuzz='^FuzzDecodeUpdateBatch$' -fuzztime=10s ./internal/distributed
+echo "== go test -run=NONE -fuzz='^FuzzDecodeDelta\$' -fuzztime=10s ./internal/distributed"
+go test -run=NONE -fuzz='^FuzzDecodeDelta$' -fuzztime=10s ./internal/distributed
 
 # The WAL is the layer that must never lie about what is on disk; run
 # it under the race detector twice (appenders, the snapshotter, and
@@ -74,13 +77,15 @@ go test -race -count=2 ./internal/wal
 echo "== go test -run 'TestCrashRecoveryBitIdentical|TestViewCatalogSurvivesCrash|TestInspectWALCorruptSegment' -count=1 ./cmd/sketchd"
 go test -run 'TestCrashRecoveryBitIdentical|TestViewCatalogSurvivesCrash|TestInspectWALCorruptSegment' -count=1 ./cmd/sketchd
 
-# Bench smokes: the query-kernel, batch-digest, and wire-frame
-# benchmarks must at least compile and complete one iteration (full
-# numbers come from scripts/bench.sh).
-echo "== go test -run=NONE -bench 'Estimate(Expression|Compiled|Parallel)$' -benchtime=1x ."
-go test -run=NONE -bench 'Estimate(Expression|Compiled|Parallel)$' -benchtime=1x .
-echo "== go test -run=NONE -bench 'UpdateDigestComputeBatch$' -benchtime=1x ."
-go test -run=NONE -bench 'UpdateDigestComputeBatch$' -benchtime=1x .
+# Layer-probe smoke: one tiny traced round of forward_hot runs every
+# per-layer probe of the repository benchmark (bench/layers.go: hash,
+# digest, replay, merge, estimate, ingest, WAL, wire, recovery) against
+# a live sketchd, so a probe that breaks fails the gate, not the next
+# measurement (full numbers come from bash bench/run.sh).
+echo "== go run ./bench -smoke -trace 1 -workload forward_hot"
+go run ./bench -smoke -trace 1 -workload forward_hot
+# Wire-frame bench smokes: the codec benchmarks must at least compile
+# and complete one iteration.
 echo "== go test -run=NONE -bench 'UpdateBatch(Encode|Decode)Frame$' -benchtime=1x ./internal/distributed"
 go test -run=NONE -bench 'UpdateBatch(Encode|Decode)Frame$' -benchtime=1x ./internal/distributed
 # Shard + coordinator-digest-cache smoke: the striped apply path and
