@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -522,5 +524,47 @@ func TestInspectWALCorruptSegment(t *testing.T) {
 	}
 	if st.Size() != sizeAfter2 {
 		t.Errorf("reopen truncated to %d bytes, want %d", st.Size(), sizeAfter2)
+	}
+}
+
+// TestInspectWALUndecodableRecord: a frame whose CRC passes but whose
+// record type no version of this binary writes is reported as an
+// undecodable record that recovery refuses, never as a truncation
+// point.
+func TestInspectWALUndecodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	coins := testCoins()
+	l, err := wal.Open(dir, wal.Options{Config: coins.Config, Seed: coins.Seed, Copies: coins.Copies})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(l.BuildUpdates("edge", []datagen.Update{{Stream: "A", Elem: 1, Delta: 1}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want exactly one segment, got %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(data)
+	body := binary.LittleEndian.AppendUint64([]byte{0x7f}, 2)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(segs[0], append(data, body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out := captureStdout(t, func() error {
+		return runInspect([]string{"wal", "-dir", dir})
+	})
+	want := fmt.Sprintf("intact through seq 1; undecodable record at offset %d: recovery refuses the log", off)
+	if !strings.Contains(out, want) || strings.Contains(out, "recovery truncates") {
+		t.Errorf("inspect output does not report the undecodable record as %q:\n%s", want, out)
 	}
 }

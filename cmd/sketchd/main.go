@@ -828,7 +828,9 @@ func runQuery(args []string) error {
 // runInspect dumps durability state read-only; the one target so far
 // is `sketchd inspect wal -dir <dir>`, which reports every segment
 // (record counts by type, sequence range) and snapshot, plus the exact
-// byte offset recovery would truncate to when a segment is corrupt.
+// byte offset recovery would truncate to when a segment is corrupt, or
+// the offset of a checksummed record that does not decode, which
+// recovery refuses rather than truncates.
 func runInspect(args []string) error {
 	if len(args) < 1 || args[0] != "wal" {
 		return fmt.Errorf("inspect: usage: sketchd inspect wal -dir <wal-dir>")
@@ -858,8 +860,13 @@ func runInspect(args []string) error {
 		if s.Corrupt != "" {
 			corrupt++
 			fmt.Printf("  CORRUPT: %s\n", s.Corrupt)
-			fmt.Printf("  intact through seq %d; recovery truncates at offset %d\n",
-				s.LastSeq, s.TruncateAt)
+			if s.Undecodable {
+				fmt.Printf("  intact through seq %d; undecodable record at offset %d: recovery refuses the log\n",
+					s.LastSeq, s.TruncateAt)
+			} else {
+				fmt.Printf("  intact through seq %d; recovery truncates at offset %d\n",
+					s.LastSeq, s.TruncateAt)
+			}
 		}
 		totalRecords += s.Records
 	}

@@ -82,10 +82,6 @@ func (j *siteJournal) pending(log *obs.Logger) ([]datagen.Update, error) {
 			j.lastMarkSeq = rec.Seq
 		case wal.RecUpdates:
 			tail = append(tail, rec.Updates...)
-		case wal.RecDigests:
-			for _, d := range rec.Digests {
-				tail = append(tail, datagen.Update{Stream: d.Stream, Elem: d.Elem, Delta: d.Delta})
-			}
 		}
 		return nil
 	})
@@ -98,10 +94,7 @@ func (j *siteJournal) LogBatch(ups []datagen.Update) error {
 	if j == nil || len(ups) == 0 {
 		return nil
 	}
-	_, err := j.l.Append(&wal.Record{
-		Type: wal.RecUpdates, Site: j.site,
-		Count: uint64(len(ups)), Updates: ups,
-	})
+	_, err := j.l.Append(j.l.BuildUpdates(j.site, ups))
 	return err
 }
 

@@ -74,13 +74,7 @@ func (a *Applier) ApplyUpdates(site string, ups []datagen.Update) error {
 	}
 	var rec *wal.Record
 	if c.wlog != nil {
-		rec = &wal.Record{Type: wal.RecUpdates, Site: site, Count: uint64(len(ups))}
-		if packable {
-			rec.Type = wal.RecDigests
-			rec.Digests = entries
-		} else {
-			rec.Updates = ups
-		}
+		rec = c.wlog.BuildUpdates(site, ups)
 	}
 	a.markShards(site, entries, ups, packable)
 	c.fence.RLock()
@@ -101,17 +95,12 @@ func (a *Applier) ApplyUpdates(site string, ups []datagen.Update) error {
 // digests coalesces one raw batch down to one net update per (stream,
 // element), drops exact cancellations (linearity: a net-zero update is
 // a no-op on every counter), and resolves each survivor's packed
-// digest — from the coordinator's shared cache when armed, batch-
-// computing only the misses on the session's own scratch family. The
-// returned entries alias the applier's reusable buffers and are valid
-// until the next call: cache hits are the cache's immutable copies,
-// misses are computed into the session's own miss slab, which the
-// cache copies from on Install and so never retains. Mirrors
-// wal.DigestUpdates with session-owned buffers, so the warm full-hit
-// path allocates nothing, and neither does a miss once the slab has
-// grown to the session's largest batch.
+// digest. The returned entries alias the applier's reusable buffers
+// and are valid until the next call. Mirrors wal.DigestUpdates with
+// session-owned buffers, so the warm full-hit path allocates nothing,
+// and neither does a miss once the slab has grown to the session's
+// largest batch.
 func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
-	c := a.c
 	clear(a.idx)
 	entries := a.entries[:0]
 	for _, u := range ups {
@@ -130,22 +119,34 @@ func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 			kept = append(kept, entries[i])
 		}
 	}
+	a.resolve(kept)
+	return kept
+}
+
+// resolve fills in every entry's digest — from the coordinator's
+// shared cache when armed, batch-computing only the misses on the
+// session's own scratch family — and returns how many it hashed.
+// Hits are the cache's immutable copies; misses are computed into the
+// session's miss slab and stay valid until the next call, and the
+// cache copies from it on Install and so never retains it.
+func (a *Applier) resolve(entries []wal.DigestUpdate) int {
+	c := a.c
 	a.elems = a.elems[:0]
 	a.missIdx = a.missIdx[:0]
 	if c.dcache != nil {
 		c.dmu.Lock()
-		for i := range kept {
-			if d, ok := c.dcache.Lookup(kept[i].Elem); ok {
-				kept[i].Digest = d
+		for i := range entries {
+			if d, ok := c.dcache.Lookup(entries[i].Elem); ok {
+				entries[i].Digest = d
 			} else {
-				a.elems = append(a.elems, kept[i].Elem)
+				a.elems = append(a.elems, entries[i].Elem)
 				a.missIdx = append(a.missIdx, i)
 			}
 		}
 		c.dmu.Unlock()
 	} else {
-		for i := range kept {
-			a.elems = append(a.elems, kept[i].Elem)
+		for i := range entries {
+			a.elems = append(a.elems, entries[i].Elem)
 			a.missIdx = append(a.missIdx, i)
 		}
 	}
@@ -156,17 +157,17 @@ func (a *Applier) digests(ups []datagen.Update) []wal.DigestUpdate {
 		md := a.missDigests(len(a.elems))
 		a.scratch.DigestBatchInto(md, a.elems)
 		for j, i := range a.missIdx {
-			kept[i].Digest = md[j]
+			entries[i].Digest = md[j]
 		}
 		if c.dcache != nil {
 			c.dmu.Lock()
 			for j, i := range a.missIdx {
-				c.dcache.Install(kept[i].Elem, md[j])
+				c.dcache.Install(entries[i].Elem, md[j])
 			}
 			c.dmu.Unlock()
 		}
 	}
-	return kept
+	return len(a.elems)
 }
 
 // missDigests returns n r-word digest buffers backed by the session's

@@ -6,15 +6,18 @@ package distributed
 // The invariant everything here rests on is linearity: every synopsis
 // counter is a sum of per-update contributions, so coordinator state
 // is a pure function of the multiset of accepted mutations. The WAL
-// records exactly that multiset (raw updates, packed digests, or
-// serialized deltas), appended under the destination shards' write
-// locks *before* the state mutation — so per-stream log order is
-// apply order, an acknowledged frame is always in the log, and
-// replaying a suffix of the log over a snapshot of the prefix
-// reconstructs the exact (bit-identical) counters, not an
-// approximation of them. Replay is shard-layout-independent: records
-// carry streams by name, so a log written under -shards N recovers
-// bit-identically under any other shard count.
+// records exactly that multiset (raw update batches verbatim, or
+// serialized deltas; logs of older binaries may also hold packed
+// digests), appended under the destination shards' write locks
+// *before* the state mutation — so per-stream log order is apply
+// order, an acknowledged frame is always in the log, and replaying a
+// suffix of the log over a snapshot of the prefix reconstructs the
+// exact (bit-identical) counters, not an approximation of them. For
+// the same reason replay may regroup updates: consecutive update
+// records coalesce to one net delta per (stream, element), hashed
+// once. Replay is shard-layout-independent: records carry streams by
+// name, so a log written under -shards N recovers bit-identically
+// under any other shard count.
 
 import (
 	"bytes"
@@ -92,18 +95,8 @@ func (c *Coordinator) applyWALRecord(rec *wal.Record) error {
 			}
 		}
 	case wal.RecDigests:
-		if err := c.applyDigestsLocked(rec.Digests); err != nil {
+		if err := c.replayDigestsLocked(rec.Digests); err != nil {
 			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-		}
-		if c.hasViews.Load() {
-			// Digests depend only on the stored coins, so the logged
-			// words apply unchanged to view bucket families.
-			c.vmu.Lock()
-			err := c.observeDigestsLocked(rec.Digests)
-			c.vmu.Unlock()
-			if err != nil {
-				return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-			}
 		}
 	case wal.RecDelta:
 		fam, err := core.ReadFamily(bytes.NewReader(rec.Synopsis))
@@ -144,11 +137,156 @@ func (c *Coordinator) applyWALRecord(rec *wal.Record) error {
 	return nil
 }
 
+// replayDigestsLocked applies replayed digest entries to the merged
+// synopses and, when views exist, to the view engine. Digests depend
+// only on the stored coins, so the same words apply unchanged to view
+// bucket families.
+// caller holds: mu
+func (c *Coordinator) replayDigestsLocked(entries []wal.DigestUpdate) error {
+	if err := c.applyDigestsLocked(entries); err != nil {
+		return err
+	}
+	if !c.hasViews.Load() {
+		return nil
+	}
+	c.vmu.Lock()
+	defer c.vmu.Unlock()
+	return c.observeDigestsLocked(entries)
+}
+
+// replayFlushKeys bounds the (stream, element) keys the recovery
+// coalescer holds before it applies them.
+const replayFlushKeys = 1 << 16
+
+// replayChunk is how many coalesced entries one flush step resolves
+// and applies, bounding the miss slab it hashes into.
+const replayChunk = 1024
+
+// replayer coalesces the RecUpdates records of a replayed WAL suffix:
+// consecutive records accumulate one net delta per (stream, element),
+// and a flush resolves each key's digest once — through the digest
+// cache, hashing only the misses — and applies it. Counters are int64
+// sums, so the regrouping leaves every family bit-identical to
+// per-record replay; window views already take every replayed update
+// into the bucket current at replay time. It flushes before every
+// other record type, so deltas and catalog changes keep their log
+// position, at replayFlushKeys keys, and at the end of the suffix.
+type replayer struct {
+	c       *Coordinator
+	a       *Applier // digest scratch and miss slab
+	idx     map[digKey]int
+	entries []wal.DigestUpdate
+	marks   []replayMark
+	seq     uint64 // last record folded in
+
+	applied, misses uint64
+}
+
+// replayMark records whether the live path applied an entry at all. It
+// applies a batch's entry only when the batch's own net delta is
+// nonzero, and doing so creates the stream's family (and view group)
+// even if later batches cancel the entry; replay must create it too.
+type replayMark struct {
+	seq  uint64 // last record that touched the entry
+	net  int64  // the entry's net delta within that record
+	live bool   // an earlier record left a nonzero net delta
+}
+
+// newReplayer returns a recovery coalescer; with digest-unpackable
+// coins it coalesces nothing and every record replays on its own.
+func (c *Coordinator) newReplayer() *replayer {
+	r := &replayer{c: c, a: c.NewApplier()}
+	if c.coins.Config.DigestPackable() {
+		r.idx = make(map[digKey]int)
+	}
+	return r
+}
+
+// apply is the Replay callback. Each RecUpdates record still credits
+// its site and update count on its own.
+//
+//sketchvet:wal-exempt recovery replay applies already-logged records
+func (r *replayer) apply(rec *wal.Record) error {
+	if rec.Type != wal.RecUpdates || r.idx == nil {
+		if err := r.flush(); err != nil {
+			return err
+		}
+		return r.c.applyWALRecord(rec)
+	}
+	for _, u := range rec.Updates {
+		k := digKey{u.Stream, u.Elem}
+		i, ok := r.idx[k]
+		if !ok {
+			i = len(r.entries)
+			r.idx[k] = i
+			r.entries = append(r.entries, wal.DigestUpdate{Stream: u.Stream, Elem: u.Elem})
+			r.marks = append(r.marks, replayMark{seq: rec.Seq})
+		}
+		if m := &r.marks[i]; m.seq != rec.Seq {
+			m.live = m.live || m.net != 0
+			m.seq, m.net = rec.Seq, 0
+		}
+		r.marks[i].net += u.Delta
+		r.entries[i].Delta += u.Delta
+	}
+	r.seq = rec.Seq
+	c := r.c
+	c.fence.RLock()
+	sh := c.shardFor(rec.Site)
+	sh.mu.Lock()
+	c.creditLocked(rec.Site, rec.Count)
+	sh.mu.Unlock()
+	c.fence.RUnlock()
+	if len(r.entries) >= replayFlushKeys {
+		return r.flush()
+	}
+	return nil
+}
+
+// flush applies the coalesced entries the live path applied — nonzero
+// net deltas, and net-zero ones some record applied before a later
+// one cancelled them — in chunks of replayChunk, then empties the
+// coalescer.
+//
+//sketchvet:wal-exempt recovery replay applies already-logged records
+func (r *replayer) flush() error {
+	kept := r.entries[:0]
+	for i, e := range r.entries {
+		if m := r.marks[i]; e.Delta != 0 || m.live || m.net != 0 {
+			kept = append(kept, e)
+		}
+	}
+	c := r.c
+	for len(kept) > 0 {
+		chunk := kept[:min(len(kept), replayChunk)]
+		kept = kept[len(chunk):]
+		r.misses += uint64(r.a.resolve(chunk))
+		c.fence.RLock()
+		c.lockAllShards()
+		err := c.replayDigestsLocked(chunk)
+		c.unlockAllShards()
+		c.fence.RUnlock()
+		if err != nil {
+			return fmt.Errorf("distributed: replay through seq %d: %w", r.seq, err)
+		}
+		r.applied += uint64(len(chunk))
+	}
+	clear(r.idx)
+	r.entries, r.marks = r.entries[:0], r.marks[:0]
+	return nil
+}
+
 // RecoveryStats summarizes one crash recovery.
 type RecoveryStats struct {
 	SnapshotSeq     uint64 // covering seq of the snapshot loaded (0 if none)
 	SnapshotStreams int    // streams restored from the snapshot
 	Replayed        wal.ReplayStats
+
+	// Coalesced counts the (stream, element) entries the replay applied
+	// after coalescing its update records; DigestMisses counts the
+	// digests it had to hash for them — the replay's hash bill.
+	Coalesced    uint64
+	DigestMisses uint64
 }
 
 // Recover rebuilds coordinator state from the newest loadable snapshot
@@ -172,14 +310,23 @@ func (c *Coordinator) Recover(l *wal.Log) (RecoveryStats, error) {
 		rs.SnapshotSeq = snap.Seq
 		rs.SnapshotStreams = len(snap.Streams)
 	}
-	rs.Replayed, err = l.Replay(from, c.applyWALRecord)
+	start := time.Now()
+	r := c.newReplayer()
+	rs.Replayed, err = l.Replay(from, r.apply)
+	if err == nil {
+		err = r.flush()
+	}
 	if err != nil {
 		return rs, err
 	}
+	rs.Replayed.Elapsed = time.Since(start) // including the final flush
+	rs.Coalesced, rs.DigestMisses = r.applied, r.misses
 	c.log.Info("recovered",
 		"snapshot_seq", rs.SnapshotSeq,
 		"replayed_records", rs.Replayed.Records,
 		"replayed_updates", rs.Replayed.Updates,
+		"coalesced_entries", rs.Coalesced,
+		"digest_misses", rs.DigestMisses,
 		"last_seq", rs.Replayed.LastSeq,
 		"elapsed", rs.Replayed.Elapsed.String())
 	return rs, nil

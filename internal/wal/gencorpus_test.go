@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -26,21 +27,36 @@ func TestGenSeedCorpus(t *testing.T) {
 	if os.Getenv("GEN_FUZZ_CORPUS") == "" {
 		t.Skip("set GEN_FUZZ_CORPUS=1 to regenerate testdata/fuzz seeds")
 	}
+	// A full 256-update batch, the shape the coordinator logs: three
+	// streams, repeated elements, insertions and deletions.
+	batch := make([]datagen.Update, 256)
+	for i := range batch {
+		batch[i] = datagen.Update{Stream: string(rune('A' + i%3)), Elem: uint64(i*7919) % 97, Delta: int64(1 - 2*(i%5/4))}
+	}
 	recs := map[string]*Record{
 		"seed-updates-multi": {Seq: 10, Type: RecUpdates, Site: "edge-1", Count: 4, Updates: []datagen.Update{
 			{Stream: "A", Elem: 5, Delta: 1}, {Stream: "B", Elem: 9, Delta: -3},
 			{Stream: "A", Elem: 5, Delta: -1}, {Stream: "C", Elem: 1 << 40, Delta: 7},
 		}},
-		"seed-digest-long": {Seq: 11, Type: RecDigests, Site: "s", Count: 1, Digests: []DigestUpdate{
-			{Stream: "A", Elem: 5, Delta: 2, Digest: core.Digest{1, 2, 3, 4, 5, 6, 7, 8}},
-		}},
+		"seed-updates-256":  {Seq: 13, Type: RecUpdates, Site: "edge-1", Count: 256, Updates: batch},
 		"seed-view-unicode": {Seq: 12, Type: RecView, View: "v∪", Statement: "CREATE VIEW v∪ AS (A ∪ B)"},
 	}
+	bodies := make(map[string][]byte)
 	for name, rec := range recs {
 		body, err := encodeBody(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bodies[name] = body
+	}
+	// RecDigests is read-only, so its seed is the pinned body an older
+	// binary wrote: seq 11, one entry {A, 5, +2} with digest words 1..8.
+	var err error
+	bodies["seed-digest-long"], err = hex.DecodeString("020b0000000000000001730108010141010005000000000000000401000000000000000200000000000000030000000000000004000000000000000500000000000000060000000000000007000000000000000800000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range bodies {
 		writeSeed(t, "FuzzDecodeBody", name, body)
 		writeSeed(t, "FuzzDecodeBody", name+"-truncated", body[:len(body)/2])
 	}

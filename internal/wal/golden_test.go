@@ -8,6 +8,11 @@ import (
 	"setsketch/internal/datagen"
 )
 
+// goldenRecDigests is a RecDigests body as older binaries wrote it: seq
+// 8, site "edge1", count 2, one entry {A, 100, +2} with the two digest
+// words 0x0102030405060708 and 0x1112131415161718.
+const goldenRecDigests = "0208000000000000000565646765310202010141010064000000000000000408070605040302011817161514131211"
+
 // TestWALGoldenBytes pins the on-disk formats — segment header, record
 // bodies of every type, and the snapshot manifest — to byte-recorded
 // golden values, mirroring core's TestSerializeGoldenBytes. If any of
@@ -42,19 +47,28 @@ func TestWALGoldenBytes(t *testing.T) {
 		}
 	})
 
+	// RecDigests is read-only: logs written by older binaries must
+	// still decode to the record they hold, and nothing encodes it.
 	t.Run("rec-digests", func(t *testing.T) {
-		body, err := encodeBody(&Record{
-			Seq: 8, Type: RecDigests, Site: "edge1", Count: 2,
-			Digests: []DigestUpdate{
-				{Stream: "A", Elem: 100, Delta: 2, Digest: core.Digest{0x0102030405060708, 0x1112131415161718}},
-			},
-		})
+		body, err := hex.DecodeString(goldenRecDigests)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const want = "0208000000000000000565646765310202010141010064000000000000000408070605040302011817161514131211"
-		if got := hex.EncodeToString(body); got != want {
-			t.Errorf("RecDigests body changed:\n got %s\nwant %s", got, want)
+		rec, err := decodeBody(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Seq != 8 || rec.Type != RecDigests || rec.Site != "edge1" || rec.Count != 2 ||
+			len(rec.Digests) != 1 {
+			t.Fatalf("RecDigests decode changed: %+v", rec)
+		}
+		d := rec.Digests[0]
+		if d.Stream != "A" || d.Elem != 100 || d.Delta != 2 ||
+			len(d.Digest) != 2 || d.Digest[0] != 0x0102030405060708 || d.Digest[1] != 0x1112131415161718 {
+			t.Fatalf("RecDigests entry changed: %+v", d)
+		}
+		if _, err := encodeBody(rec); err == nil {
+			t.Fatal("encodeBody accepted the read-only RecDigests type")
 		}
 	})
 
@@ -110,8 +124,6 @@ func TestWALGoldenBytes(t *testing.T) {
 		recs := []*Record{
 			{Seq: 7, Type: RecUpdates, Site: "edge1", Count: 3,
 				Updates: []datagen.Update{{Stream: "A", Elem: 100, Delta: 1}}},
-			{Seq: 8, Type: RecDigests, Site: "edge1", Count: 2,
-				Digests: []DigestUpdate{{Stream: "A", Elem: 100, Delta: 2, Digest: core.Digest{1, 2}}}},
 			{Seq: 9, Type: RecDelta, Site: "edge1", Stream: "A", Count: 5, Synopsis: []byte{1, 2, 3}},
 			{Seq: 10, Type: RecMark, Site: "edge1"},
 			{Seq: 11, Type: RecView, View: "v", Statement: "CREATE VIEW v AS (A | B)"},
@@ -127,7 +139,7 @@ func TestWALGoldenBytes(t *testing.T) {
 			}
 			if back.Seq != rec.Seq || back.Type != rec.Type || back.Site != rec.Site ||
 				back.Count != rec.Count || len(back.Updates) != len(rec.Updates) ||
-				len(back.Digests) != len(rec.Digests) || back.Stream != rec.Stream ||
+				back.Stream != rec.Stream ||
 				back.View != rec.View || back.Statement != rec.Statement {
 				t.Fatalf("type %d: decode mismatch: %+v vs %+v", rec.Type, back, rec)
 			}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 )
@@ -23,9 +24,11 @@ type SegmentReport struct {
 	// Corrupt is non-empty when the scan stopped before the end of the
 	// file: the error description, with TruncateAt the byte offset of
 	// the last intact record's end — the point recovery would truncate
-	// to.
-	Corrupt    string
-	TruncateAt int64
+	// to, unless Undecodable: then the frame there passed its checksum
+	// but does not decode, and recovery refuses the log instead.
+	Corrupt     string
+	TruncateAt  int64
+	Undecodable bool
 }
 
 // SnapshotReport describes one snapshot (by manifest) as found on disk.
@@ -55,7 +58,7 @@ func RecordTypeName(t byte) string {
 	case RecUpdates:
 		return "updates"
 	case RecDigests:
-		return "digests"
+		return "digests(read-only)"
 	case RecDelta:
 		return "delta"
 	case RecMark:
@@ -92,6 +95,7 @@ func InspectDir(dir string) (*DirReport, error) {
 		if scanErr != nil {
 			sr.Corrupt = scanErr.Error()
 			sr.TruncateAt = end
+			sr.Undecodable = errors.Is(scanErr, ErrFormat)
 		}
 		rep.Segments = append(rep.Segments, sr)
 	}

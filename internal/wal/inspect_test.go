@@ -87,7 +87,7 @@ func TestInspectDir(t *testing.T) {
 	if total != 4 {
 		t.Errorf("intact records = %d, want 4", total)
 	}
-	for typ, want := range map[byte]uint64{RecDigests: 1, RecUpdates: 1, RecDelta: 1, RecMark: 1} {
+	for typ, want := range map[byte]uint64{RecUpdates: 2, RecDelta: 1, RecMark: 1} {
 		if byType[typ] != want {
 			t.Errorf("records of type %s = %d, want %d", RecordTypeName(typ), byType[typ], want)
 		}
@@ -129,7 +129,7 @@ func TestInspectDir(t *testing.T) {
 // TestRecordTypeName pins the display names used by inspect output.
 func TestRecordTypeName(t *testing.T) {
 	for typ, want := range map[byte]string{
-		RecUpdates: "updates", RecDigests: "digests",
+		RecUpdates: "updates", RecDigests: "digests(read-only)",
 		RecDelta: "delta", RecMark: "mark", 0xFF: "unknown",
 	} {
 		if got := RecordTypeName(typ); got != want {

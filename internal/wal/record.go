@@ -48,14 +48,13 @@ import (
 	"setsketch/internal/datagen"
 )
 
-// Record types. An update batch is logged as packed digests when the
-// stored coins are digest-packable (replay then costs s+1 plain
-// additions per copy with zero hashing) and as raw ⟨stream, elem, ±v⟩
-// triples otherwise. A synopsis delta is logged as the core
-// serialization bytes it arrived in.
+// Record types. An update batch is logged as the raw ⟨stream, elem,
+// ±v⟩ triples it arrived as — about 10 bytes per update — and recovery
+// coalesces the replayed suffix and hashes each distinct element once.
+// A synopsis delta is logged as the core serialization bytes it
+// arrived in.
 const (
-	// RecUpdates is a raw update batch: the coins are not
-	// digest-packable, so replay re-hashes each element.
+	// RecUpdates is a raw update batch, verbatim:
 	//
 	//	site    string
 	//	count   uvarint      updates credited toward watch triggers
@@ -63,8 +62,9 @@ const (
 	//	entries uvarint m, then m × { stream uvarint, elem u64, delta zigzag }
 	RecUpdates = byte(1)
 
-	// RecDigests is a digest-packed update batch, coalesced to one net
-	// entry per (stream, element):
+	// RecDigests is read-only: older binaries logged update batches
+	// digest-packed, coalesced to one net entry per (stream, element).
+	// Logs they wrote still decode and replay; nothing encodes it.
 	//
 	//	site    string
 	//	count   uvarint      updates credited (pre-coalescing batch size)
@@ -100,7 +100,8 @@ const (
 
 // maxRecord bounds a decoded record body so corrupt length fields
 // cannot force huge allocations. It comfortably exceeds the wire
-// protocol's 64 MiB frame cap plus digest expansion.
+// protocol's 64 MiB frame cap, and the RecDigests records of older
+// binaries (1 KiB of digest words per entry at 128 copies).
 const maxRecord = 256 << 20
 
 // maxDigestWords bounds the per-entry digest width (= family copies,
@@ -110,17 +111,23 @@ const maxDigestWords = 1 << 20
 // castagnoli is the CRC32C polynomial table used for all WAL framing.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a record frame that failed its checksum or decoded
-// inconsistently; ErrTorn reports an incomplete frame at the end of a
-// segment (the signature of a crash mid-append).
+// ErrCorrupt reports a record frame that failed its checksum; ErrTorn
+// reports an incomplete frame at the end of a segment (the signature of
+// a crash mid-append). Either at the tail of the final segment is
+// truncated away on Open. ErrFormat reports a frame whose checksum
+// passes but whose body does not decode or does not follow its
+// predecessor — written whole, for example by another binary version —
+// so it is never truncated: Open and Replay fail instead.
 var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 	ErrTorn    = errors.New("wal: torn record at end of segment")
+	ErrFormat  = errors.New("wal: undecodable record")
 )
 
-// DigestUpdate is one coalesced, digest-resolved entry of a RecDigests
-// record: applying Digest with UpdateDigest is exactly equivalent to
-// Delta copies of Update(Elem, ±1) by linearity.
+// DigestUpdate is one coalesced, digest-resolved update (an entry of
+// DigestUpdates, or of a RecDigests record): applying Digest with
+// UpdateDigest is exactly equivalent to Delta copies of
+// Update(Elem, ±1) by linearity.
 type DigestUpdate struct {
 	Stream string
 	Elem   uint64
@@ -156,20 +163,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// streamTable builds the deduplicated stream-name table for a batch and
-// the index of every name.
-func streamTable(names func(yield func(string))) ([]string, map[string]int) {
-	var tab []string
-	idx := make(map[string]int)
-	names(func(n string) {
-		if _, ok := idx[n]; !ok {
-			idx[n] = len(tab)
-			tab = append(tab, n)
-		}
-	})
-	return tab, idx
-}
-
 // encodeBody renders the record body (type, seq, payload). The frame
 // header (length, crc) is written by the segment appender.
 func encodeBody(rec *Record) ([]byte, error) {
@@ -180,11 +173,14 @@ func encodeBody(rec *Record) ([]byte, error) {
 	case RecUpdates:
 		b = appendString(b, rec.Site)
 		b = binary.AppendUvarint(b, rec.Count)
-		tab, idx := streamTable(func(yield func(string)) {
-			for _, u := range rec.Updates {
-				yield(u.Stream)
+		var tab []string
+		idx := make(map[string]int)
+		for _, u := range rec.Updates {
+			if _, ok := idx[u.Stream]; !ok {
+				idx[u.Stream] = len(tab)
+				tab = append(tab, u.Stream)
 			}
-		})
+		}
 		b = binary.AppendUvarint(b, uint64(len(tab)))
 		for _, n := range tab {
 			b = appendString(b, n)
@@ -194,35 +190,6 @@ func encodeBody(rec *Record) ([]byte, error) {
 			b = binary.AppendUvarint(b, uint64(idx[u.Stream]))
 			b = binary.LittleEndian.AppendUint64(b, u.Elem)
 			b = binary.AppendVarint(b, u.Delta)
-		}
-	case RecDigests:
-		b = appendString(b, rec.Site)
-		b = binary.AppendUvarint(b, rec.Count)
-		words := 0
-		if len(rec.Digests) > 0 {
-			words = len(rec.Digests[0].Digest)
-		}
-		b = binary.AppendUvarint(b, uint64(words))
-		tab, idx := streamTable(func(yield func(string)) {
-			for _, d := range rec.Digests {
-				yield(d.Stream)
-			}
-		})
-		b = binary.AppendUvarint(b, uint64(len(tab)))
-		for _, n := range tab {
-			b = appendString(b, n)
-		}
-		b = binary.AppendUvarint(b, uint64(len(rec.Digests)))
-		for _, d := range rec.Digests {
-			if len(d.Digest) != words {
-				return nil, fmt.Errorf("wal: ragged digest lengths (%d vs %d words)", len(d.Digest), words)
-			}
-			b = binary.AppendUvarint(b, uint64(idx[d.Stream]))
-			b = binary.LittleEndian.AppendUint64(b, d.Elem)
-			b = binary.AppendVarint(b, d.Delta)
-			for _, w := range d.Digest {
-				b = binary.LittleEndian.AppendUint64(b, w)
-			}
 		}
 	case RecDelta:
 		b = appendString(b, rec.Site)
@@ -235,8 +202,8 @@ func encodeBody(rec *Record) ([]byte, error) {
 	case RecView:
 		b = appendString(b, rec.View)
 		b = appendString(b, rec.Statement)
-	default:
-		return nil, fmt.Errorf("wal: unknown record type %#x", rec.Type)
+	default: // RecDigests included: it is read-only
+		return nil, fmt.Errorf("wal: record type %#x has no encoder", rec.Type)
 	}
 	if len(b) > maxRecord {
 		return nil, fmt.Errorf("wal: record of %d bytes exceeds limit", len(b))
@@ -348,8 +315,9 @@ func (c *byteCursor) count(min int) int {
 	return int(n)
 }
 
-// decodeBody parses a record body previously written by encodeBody.
-// It never panics on corrupt input; malformed bodies return ErrCorrupt.
+// decodeBody parses a record body previously written by encodeBody
+// (or, for RecDigests, by an older binary). It never panics on corrupt
+// input; malformed bodies return ErrFormat.
 func decodeBody(b []byte) (*Record, error) {
 	c := &byteCursor{b: b}
 	rec := &Record{Type: c.u8(), Seq: c.u64()}
@@ -410,13 +378,13 @@ func decodeBody(b []byte) (*Record, error) {
 		rec.View = c.str()
 		rec.Statement = c.str()
 	default:
-		return nil, fmt.Errorf("%w: unknown record type %#x", ErrCorrupt, rec.Type)
+		return nil, fmt.Errorf("%w: unknown record type %#x", ErrFormat, rec.Type)
 	}
 	if c.err != nil {
-		return nil, c.err
+		return nil, fmt.Errorf("%w: type %#x payload is malformed", ErrFormat, rec.Type)
 	}
 	if c.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-c.off)
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(b)-c.off)
 	}
 	return rec, nil
 }

@@ -170,12 +170,6 @@ type Log struct {
 	unsynced bool
 	closed   bool
 
-	// scratch family for digest packing (BuildUpdates); digests are a
-	// pure function of the coins, so one spare family serves every
-	// stream.
-	smu     sync.Mutex
-	scratch *core.Family
-
 	stopSync chan struct{}
 	syncDone chan struct{}
 
@@ -186,8 +180,11 @@ type Log struct {
 
 // Open opens (or creates) the log directory, validates every segment
 // header against the stored coins, scans the final segment, and
-// truncates a torn tail record if the process died mid-append. The
-// returned log appends after the last intact record.
+// truncates a torn or checksum-failing tail record if the process died
+// mid-append. A whole frame that does not decode (ErrFormat) is not a
+// crash artifact: Open fails, naming the segment and offset, and
+// leaves the file untouched. The returned log appends after the last
+// intact record.
 func Open(dir string, opts Options) (*Log, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
@@ -433,7 +430,8 @@ func (l *Log) openSegment(seq uint64) error {
 // each decoded record. It returns the last intact seq (0 if none), the
 // byte offset just past the last intact record, and the error that
 // stopped the scan (nil at a clean EOF). A stop error of ErrTorn or
-// ErrCorrupt at offset end means the file is valid up to end.
+// ErrCorrupt at offset end means the file is valid up to end; ErrFormat
+// means the frame at end passed its checksum but cannot be replayed.
 func scanSegment(path string, fn func(*Record) error) (last uint64, end int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -471,10 +469,10 @@ func scanSegment(path string, fn func(*Record) error) (last uint64, end int64, e
 		}
 		rec, err := decodeBody(body)
 		if err != nil {
-			return last, end, err
+			return last, end, fmt.Errorf("%w at offset %d", err, end)
 		}
 		if rec.Seq != last+1 && last != 0 {
-			return last, end, fmt.Errorf("%w: sequence jump %d -> %d", ErrCorrupt, last, rec.Seq)
+			return last, end, fmt.Errorf("%w at offset %d: sequence jump %d -> %d", ErrFormat, end, last, rec.Seq)
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
@@ -486,37 +484,21 @@ func scanSegment(path string, fn func(*Record) error) (last uint64, end int64, e
 	}
 }
 
-// BuildUpdates renders a raw update batch as a WAL record: coalesced,
-// digest-packed entries when the stored coins allow it (replay then
-// skips the hash bill entirely), raw triples otherwise. Applying the
-// returned record is exactly equivalent to applying ups in order, by
-// linearity of the sketch counters.
+// BuildUpdates renders a raw update batch as a WAL record holding the
+// updates verbatim (the record aliases ups until it is appended); the
+// replaying side coalesces and hashes them.
 func (l *Log) BuildUpdates(site string, ups []datagen.Update) *Record {
-	rec := &Record{Type: RecUpdates, Site: site, Count: uint64(len(ups))}
-	if !l.opts.Config.DigestPackable() {
-		rec.Updates = ups
-		return rec
-	}
-	l.smu.Lock()
-	if l.scratch == nil {
-		// Coins were validated at Open; a scratch family only exists
-		// to evaluate the digest hash functions.
-		l.scratch, _ = core.NewFamily(l.opts.Config, l.opts.Seed, l.opts.Copies)
-	}
-	rec.Type = RecDigests
-	rec.Digests = DigestUpdates(l.scratch, ups)
-	l.smu.Unlock()
-	return rec
+	return &Record{Type: RecUpdates, Site: site, Count: uint64(len(ups)), Updates: ups}
 }
 
 // DigestUpdates coalesces a raw update batch per (stream, element),
 // drops exact cancellations, and computes each survivor's packed
 // digest through fam's batch kernel (one copy-major pass instead of a
 // full hash-constant sweep per element — see core.Family.DigestBatch).
-// It is the shared front half of the batch-amortized update path:
-// BuildUpdates wraps the entries in a WAL record, and the
-// coordinator's live non-WAL path applies them directly. The caller
-// owns fam and its locking, and must have checked that fam's config is
+// It is the reference form of the batch-amortized update path, which
+// the coordinator's Applier mirrors with session-owned buffers, and of
+// the RecDigests entries older binaries logged. The caller owns fam and
+// its locking, and must have checked that fam's config is
 // DigestPackable. Applying the returned entries in order is exactly
 // equivalent to applying ups in order, by linearity of the sketch
 // counters.
@@ -723,8 +705,9 @@ type ReplayStats struct {
 
 // Replay iterates every record with seq >= from, in order, through fn.
 // Call it after Open (which already truncated any torn tail) and
-// before the first Append. A decode failure in a sealed (non-final)
-// segment is fatal corruption and returns the error.
+// before the first Append. A frame error in a sealed (non-final)
+// segment, or an undecodable record (ErrFormat) in any segment, is
+// fatal and returns the error.
 func (l *Log) Replay(from uint64, fn func(*Record) error) (ReplayStats, error) {
 	start := time.Now()
 	l.mu.Lock()

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +22,8 @@ func testOptions() Options {
 	return Options{Config: cfg, Seed: 0x5eed, Copies: 4}
 }
 
-// rawOptions is a non-packable shape (s > 58), forcing RecUpdates.
+// rawOptions is a non-packable shape (s > 58): digests cannot be
+// packed, and batches are logged raw like under any other coins.
 func rawOptions() Options {
 	cfg := core.Config{Buckets: 16, SecondLevel: 60, FirstWise: 3}
 	return Options{Config: cfg, Seed: 0x5eed, Copies: 4}
@@ -70,8 +73,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	defer l2.Close()
 	var seqs []uint64
 	stats, err := l2.Replay(1, func(rec *Record) error {
-		if rec.Type != RecDigests {
-			t.Fatalf("record %d type %d, want RecDigests (packable coins)", rec.Seq, rec.Type)
+		if rec.Type != RecUpdates || len(rec.Updates) != 5 {
+			t.Fatalf("record %d: type %d with %d updates, want RecUpdates with 5", rec.Seq, rec.Type, len(rec.Updates))
 		}
 		if rec.Count != 5 {
 			t.Fatalf("record %d count %d, want 5", rec.Seq, rec.Count)
@@ -100,9 +103,9 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDigestReplayEquivalence: applying the digest entries of a logged
-// batch reproduces exactly the family a direct application builds —
-// the linearity invariant recovery rests on.
+// TestDigestReplayEquivalence: coalescing a logged batch and applying
+// its digest entries reproduces exactly the family a direct
+// application builds — the linearity invariant recovery rests on.
 func TestDigestReplayEquivalence(t *testing.T) {
 	opts := testOptions()
 	dir := t.TempDir()
@@ -132,8 +135,9 @@ func TestDigestReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch, _ := core.NewFamily(opts.Config, opts.Seed, opts.Copies)
 	if _, err := l.Replay(1, func(r *Record) error {
-		for _, d := range r.Digests {
+		for _, d := range DigestUpdates(scratch, r.Updates) {
 			replayed.UpdateDigest(d.Digest, d.Delta)
 		}
 		return nil
@@ -214,8 +218,8 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 		if _, err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range rec.Digests {
-			f.UpdateDigest(d.Digest, d.Delta)
+		for _, u := range rec.Updates {
+			f.Update(u.Elem, u.Delta)
 		}
 	}
 	fams["A"] = f
@@ -351,6 +355,67 @@ func TestCorruptMidRecordTruncatesSuffix(t *testing.T) {
 	defer l2.Close()
 	if got := l2.LastSeq(); got != 2 {
 		t.Fatalf("after corruption LastSeq = %d, want 2", got)
+	}
+}
+
+// TestUndecodableFrameNotTruncated: a frame whose checksum passes but
+// whose body does not decode — here an unknown record type, as another
+// binary version might write — is not a torn tail. Open must refuse the
+// log, naming the segment and offset, and leave every byte on disk,
+// including the acked record after it.
+func TestUndecodableFrameNotTruncated(t *testing.T) {
+	opts := testOptions()
+	dir := t.TempDir()
+	l := mustOpen(t, dir, opts)
+	if _, err := l.Append(l.BuildUpdates("s", testUpdates(3, 0))); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	segs, _ := listSegments(dir)
+	path := segs[0].path
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(len(b))
+	frame := func(body []byte) {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(body, castagnoli))
+		b = append(b, body...)
+	}
+	frame(binary.LittleEndian.AppendUint64([]byte{0x7f}, 2))
+	good, err := encodeBody(&Record{Seq: 3, Type: RecMark, Site: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame(good)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(dir, opts)
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("Open = %v, want ErrFormat", err)
+	}
+	for _, want := range []string{filepath.Base(path), fmt.Sprintf("offset %d", off)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open error %q does not name %q", err, want)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, b) {
+		t.Fatalf("Open modified the segment: %d bytes, want %d", len(after), len(b))
+	}
+
+	rep, err := InspectDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rep.Segments[0]; !s.Undecodable || s.LastSeq != 1 || s.TruncateAt != off {
+		t.Fatalf("inspect: undecodable=%v last=%d at=%d, want true 1 %d", s.Undecodable, s.LastSeq, s.TruncateAt, off)
 	}
 }
 

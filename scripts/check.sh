@@ -74,6 +74,12 @@ go test -run=NONE -fuzz='^FuzzDecodeDelta$' -fuzztime=10s ./internal/distributed
 # silently drop them from the gate.
 echo "== go test -race -count=2 ./internal/wal"
 go test -race -count=2 ./internal/wal
+# Recovery decodes every record a crash left on disk, including the
+# read-only digest records of older binaries: the decoder must reject
+# what it cannot parse without panicking and round-trip what it
+# accepts.
+echo "== go test -run=NONE -fuzz='^FuzzDecodeBody\$' -fuzztime=10s ./internal/wal"
+go test -run=NONE -fuzz='^FuzzDecodeBody$' -fuzztime=10s ./internal/wal
 echo "== go test -run 'TestCrashRecoveryBitIdentical|TestViewCatalogSurvivesCrash|TestInspectWALCorruptSegment' -count=1 ./cmd/sketchd"
 go test -run 'TestCrashRecoveryBitIdentical|TestViewCatalogSurvivesCrash|TestInspectWALCorruptSegment' -count=1 ./cmd/sketchd
 
