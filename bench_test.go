@@ -50,65 +50,55 @@ func buildWorkloadFamilies(b *testing.B, exprStr string, union, target, r int) (
 }
 
 // benchFigure measures the estimation step of one paper figure: the
-// multi-level witness estimator over r-copy families at the figure's
-// target/union ratio.
-func benchFigure(b *testing.B, exprStr string, ratio int) {
+// witness estimator over r-copy families at the figure's target/union
+// ratio.
+func benchFigure(b *testing.B, exprStr string, ratio int, multiLevel bool) {
 	const union, r = 1 << 12, 128
 	node, fams := buildWorkloadFamilies(b, exprStr, union, union/ratio, r)
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultEstimateOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateExpressionMultiLevel(node, fams, 0.1); err != nil {
+		if _, err := q.Estimate(fams, 0.1, multiLevel, opts); err != nil && err != core.ErrNoObservations {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkFig7aIntersection: Figure 7(a), |A ∩ B| estimation.
-func BenchmarkFig7aIntersection(b *testing.B) { benchFigure(b, "A & B", 16) }
+func BenchmarkFig7aIntersection(b *testing.B) { benchFigure(b, "A & B", 16, true) }
 
 // BenchmarkFig7bDifference: Figure 7(b), |A − B| estimation.
-func BenchmarkFig7bDifference(b *testing.B) { benchFigure(b, "A - B", 16) }
+func BenchmarkFig7bDifference(b *testing.B) { benchFigure(b, "A - B", 16, true) }
 
 // BenchmarkFig8Expression: Figure 8, |(A − B) ∩ C| estimation.
-func BenchmarkFig8Expression(b *testing.B) { benchFigure(b, "(A - B) & C", 16) }
+func BenchmarkFig8Expression(b *testing.B) { benchFigure(b, "(A - B) & C", 16, true) }
 
 // BenchmarkSingleLevelEstimator measures the paper-literal Fig. 6
 // estimator for comparison with the multi-level benches above.
-func BenchmarkSingleLevelEstimator(b *testing.B) {
-	const union, r = 1 << 12, 128
-	node, fams := buildWorkloadFamilies(b, "A & B", union, union/16, r)
+func BenchmarkSingleLevelEstimator(b *testing.B) { benchFigure(b, "A & B", 16, false) }
+
+// benchUnion measures the union estimator over two families.
+func benchUnion(b *testing.B, multiLevel bool) {
+	_, fams := buildWorkloadFamilies(b, "A | B", 1<<12, 1<<12, 128)
+	pair := []*core.Family{fams["A"], fams["B"]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateExpression(node, fams, 0.1); err != nil && err != core.ErrNoObservations {
+		if _, err := core.EstimateUnion(pair, 0.1, multiLevel); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkUnionEstimator measures the specialized Fig. 5 estimator.
-func BenchmarkUnionEstimator(b *testing.B) {
-	_, fams := buildWorkloadFamilies(b, "A | B", 1<<12, 1<<12, 128)
-	a, bb := fams["A"], fams["B"]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateUnion(a, bb, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkUnionEstimator(b *testing.B) { benchUnion(b, false) }
 
 // BenchmarkUnionML measures the all-levels maximum-likelihood union
-// estimator (ternary search over the occupancy profile).
-func BenchmarkUnionML(b *testing.B) {
-	_, fams := buildWorkloadFamilies(b, "A | B", 1<<12, 1<<12, 128)
-	pair := []*core.Family{fams["A"], fams["B"]}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateUnionMultiML(pair, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// estimator (golden-section search over the occupancy profile).
+func BenchmarkUnionML(b *testing.B) { benchUnion(b, true) }
 
 // BenchmarkSketchUpdate measures the per-stream-item maintenance cost
 // of one 2-level hash sketch (§3.1: s+1 counter updates + hashing).
@@ -269,9 +259,13 @@ func BenchmarkBitVsCounterEstimate(b *testing.B) {
 		}
 		bfams[name] = f
 	}
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateExpressionMultiLevelBits(node, bfams, 0.1); err != nil {
+		if _, err := q.EstimateBits(bfams, 0.1, true, core.DefaultEstimateOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

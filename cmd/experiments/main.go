@@ -325,6 +325,10 @@ func (r *runner) baselines(start time.Time) error {
 	fmt.Printf("%-10s  %14s  %14s  %16s\n", "churn", "2LHS error", "MIPs error", "MIPs usable k")
 
 	node := expr.MustParse("A & B")
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return err
+	}
 	for _, churn := range []float64{0, 0.25, 0.5, 1.0, 2.0} {
 		// Same seed for every row: the net multisets are identical, so
 		// the 2LHS column must be constant (deletion invariance) while
@@ -373,7 +377,7 @@ func (r *runner) baselines(start time.Time) error {
 			}
 		}
 
-		sketchEst, err := core.EstimateExpressionMultiLevel(node, fams, r.eps)
+		sketchEst, err := q.Estimate(fams, r.eps, true, core.DefaultEstimateOptions())
 		if err != nil {
 			return err
 		}
@@ -491,11 +495,11 @@ func (r *runner) distinct(start time.Time) error {
 			bj.Insert(e)
 			ds.Insert(e)
 		}
-		fig5, err := core.EstimateUnionBits([]*core.BitFamily{fam}, r.eps)
+		fig5, err := core.EstimateUnionBits([]*core.BitFamily{fam}, r.eps, false)
 		if err != nil {
 			return err
 		}
-		mle, err := core.EstimateUnionBitsML([]*core.BitFamily{fam}, r.eps)
+		mle, err := core.EstimateUnionBits([]*core.BitFamily{fam}, r.eps, true)
 		if err != nil {
 			return err
 		}
@@ -531,6 +535,10 @@ func (r *runner) skew(start time.Time) error {
 		inter, u, rCopies)
 	fmt.Printf("%-14s  %s\n", "domain", "trimmed rel error")
 	node := expr.MustParse("A & B")
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return err
+	}
 	for _, d := range datagen.Domains() {
 		var errs []float64
 		for run := 0; run < r.runs; run++ {
@@ -555,7 +563,7 @@ func (r *runner) skew(start time.Time) error {
 			for i, e := range b {
 				fams["B"].Update(e, mult[i%len(mult)])
 			}
-			est, err := core.EstimateExpressionMultiLevel(node, fams, r.eps)
+			est, err := q.Estimate(fams, r.eps, true, core.DefaultEstimateOptions())
 			if err != nil {
 				return err
 			}

@@ -91,7 +91,7 @@ func runUnion(args []string) error {
 		}
 		fams = append(fams, f)
 	}
-	est, err := core.EstimateUnionMulti(fams, *eps)
+	est, err := core.EstimateUnion(fams, *eps, false)
 	if err != nil {
 		return err
 	}
@@ -243,11 +243,11 @@ func runEstimate(args []string) error {
 		}
 		fams[name] = f
 	}
-	estimator := core.EstimateExpressionMultiLevel
-	if *single {
-		estimator = core.EstimateExpression
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return err
 	}
-	est, err := estimator(node, fams, *eps)
+	est, err := q.Estimate(fams, *eps, !*single, core.DefaultEstimateOptions())
 	if err != nil {
 		return err
 	}

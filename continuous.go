@@ -19,11 +19,8 @@ import (
 type ContinuousID int
 
 // continuousQuery is the registration record. The expression is
-// compiled once here; every firing reuses the compiled query (q is nil
-// only for expressions over more than 64 streams, which fall back to
-// the interpreted estimator).
+// compiled once here; every firing reuses the compiled query.
 type continuousQuery struct {
-	node    expr.Node
 	q       *core.Query
 	streams map[string]struct{}
 	eps     float64
@@ -62,6 +59,10 @@ func (p *Processor) RegisterContinuous(expression string, eps float64, every int
 	if err != nil {
 		return 0, err
 	}
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return 0, err
+	}
 	streams := make(map[string]struct{})
 	for _, name := range expr.Streams(node) {
 		streams[name] = struct{}{}
@@ -69,14 +70,10 @@ func (p *Processor) RegisterContinuous(expression string, eps float64, every int
 	cs := p.continuous()
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	q, err := core.CompileQuery(node)
-	if err != nil {
-		q = nil // > 64 streams: interpreted fallback per firing
-	}
 	cs.nextID++
 	id := cs.nextID
 	cs.queries[id] = &continuousQuery{
-		node: node, q: q, streams: streams, eps: eps, every: int64(every), fn: fn,
+		q: q, streams: streams, eps: eps, every: int64(every), fn: fn,
 	}
 	return id, nil
 }
@@ -133,13 +130,7 @@ func (p *Processor) notifyContinuous(stream string) {
 		// Exclusive lock, like Estimate: a consistent read of every
 		// counter even while other goroutines keep updating.
 		p.mu.Lock()
-		var est core.Estimate
-		var err error
-		if q.q != nil {
-			est, err = q.q.Estimate(p.fams, q.eps, true, p.estOpts)
-		} else {
-			est, err = core.EstimateExpressionOpts(q.node, p.fams, q.eps, true, p.estOpts)
-		}
+		est, err := q.q.Estimate(p.fams, q.eps, true, p.estOpts)
 		p.mu.Unlock()
 		q.fn(fromCore(est), err)
 	}

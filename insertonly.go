@@ -133,9 +133,13 @@ func (p *InsertOnlyProcessor) Estimate(expression string, eps float64) (Estimate
 	if err != nil {
 		return Estimate{}, err
 	}
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return Estimate{}, err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	est, err := core.EstimateExpressionMultiLevelBits(node, p.fams, eps)
+	est, err := q.EstimateBits(p.fams, eps, true, core.DefaultEstimateOptions())
 	return fromCore(est), err
 }
 
@@ -152,7 +156,7 @@ func (p *InsertOnlyProcessor) EstimateUnion(streams []string, eps float64) (Esti
 		}
 		fams = append(fams, f)
 	}
-	est, err := core.EstimateUnionBits(fams, eps)
+	est, err := core.EstimateUnionBits(fams, eps, false)
 	return fromCore(est), err
 }
 

@@ -28,7 +28,7 @@ func TestExpressionSelfIdentities(t *testing.T) {
 
 	// A − A = ∅ must be estimated as exactly 0: every witness check
 	// evaluates B(E) = flag ∧ ¬flag = false.
-	est, err := EstimateExpressionMultiLevel(expr.MustParse("A - A"), fams, 0.2)
+	est, err := estimateNode(expr.MustParse("A - A"), fams, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestExpressionSelfIdentities(t *testing.T) {
 	// B(E) degenerates to the same flag.
 	vals := make([]float64, 0, 3)
 	for _, q := range []string{"A", "A & A", "A | A"} {
-		est, err := EstimateExpressionMultiLevel(expr.MustParse(q), fams, 0.2)
+		est, err := estimateNode(expr.MustParse(q), fams, 0.2, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestPartitionAdditivity(t *testing.T) {
 	var sum float64
 	var union float64
 	for _, q := range []string{"A - B", "A & B", "B - A"} {
-		est, err := EstimateExpressionMultiLevel(expr.MustParse(q), fams, 0.2)
+		est, err := estimateNode(expr.MustParse(q), fams, 0.2, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,11 +92,11 @@ func TestDeMorganExact(t *testing.T) {
 		streams[name] = elems
 	}
 	fams := buildFamilies(t, estCfg, 34, 256, streams)
-	e1, err := EstimateExpressionMultiLevel(expr.MustParse("A - (B | C)"), fams, 0.2)
+	e1, err := estimateNode(expr.MustParse("A - (B | C)"), fams, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := EstimateExpressionMultiLevel(expr.MustParse("(A - B) & (A - C)"), fams, 0.2)
+	e2, err := estimateNode(expr.MustParse("(A - B) & (A - C)"), fams, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDomainEdgeElements(t *testing.T) {
 	for _, e := range edge {
 		f.Insert(e)
 	}
-	est, err := EstimateDistinct(f, 0.3)
+	est, err := EstimateUnion([]*Family{f}, 0.3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSkewRobustness(t *testing.T) {
 		for i, e := range b {
 			fams["B"].Update(e, mult[i%len(mult)])
 		}
-		est, err := EstimateExpressionMultiLevel(node, fams, 0.2)
+		est, err := estimateNode(node, fams, 0.2, true)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -175,13 +175,13 @@ func TestMultiLevelMatchesSingleLevelExpectation(t *testing.T) {
 	for run := 0; run < runs; run++ {
 		a, b := overlapStreams(rng, u, inter)
 		fams := buildFamilies(t, estCfg, rng.Uint64(), 256, map[string][]uint64{"A": a, "B": b})
-		if est, err := EstimateExpression(node, fams, 0.2); err == nil {
+		if est, err := estimateNode(node, fams, 0.2, false); err == nil {
 			d := est.Value/inter - 1
 			sumSingle += d
 			sqSingle += d * d
 			nSingle++
 		}
-		est, err := EstimateExpressionMultiLevel(node, fams, 0.2)
+		est, err := estimateNode(node, fams, 0.2, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,8 +92,8 @@ func TestBitEstimatesIdenticalToCounters(t *testing.T) {
 
 	for _, q := range []string{"A & B", "A - B", "A | B", "A ^ B"} {
 		node := expr.MustParse(q)
-		ce, cerr := EstimateExpressionMultiLevel(node, cfams, 0.2)
-		be, berr := EstimateExpressionMultiLevelBits(node, bfams, 0.2)
+		ce, cerr := estimateNode(node, cfams, 0.2, true)
+		be, berr := estimateNodeBits(node, bfams, 0.2, true)
 		if (cerr == nil) != (berr == nil) {
 			t.Fatalf("%s: error mismatch %v vs %v", q, cerr, berr)
 		}
@@ -101,8 +101,8 @@ func TestBitEstimatesIdenticalToCounters(t *testing.T) {
 			t.Errorf("%s: counter %.2f vs bit %.2f", q, ce.Value, be.Value)
 		}
 
-		cs, cserr := EstimateExpression(node, cfams, 0.2)
-		bs, bserr := EstimateExpressionBits(node, bfams, 0.2)
+		cs, cserr := estimateNode(node, cfams, 0.2, false)
+		bs, bserr := estimateNodeBits(node, bfams, 0.2, false)
 		if (cserr == nil) != (bserr == nil) {
 			t.Fatalf("%s single-level: error mismatch %v vs %v", q, cserr, bserr)
 		}
@@ -111,11 +111,11 @@ func TestBitEstimatesIdenticalToCounters(t *testing.T) {
 		}
 	}
 
-	cu, err := EstimateUnionMulti([]*Family{cfams["A"], cfams["B"]}, 0.1)
+	cu, err := EstimateUnion([]*Family{cfams["A"], cfams["B"]}, 0.1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bu, err := EstimateUnionBits([]*BitFamily{bfams["A"], bfams["B"]}, 0.1)
+	bu, err := EstimateUnionBits([]*BitFamily{bfams["A"], bfams["B"]}, 0.1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +284,8 @@ func TestToCountersPreservesEstimates(t *testing.T) {
 	}
 	for _, q := range []string{"A & B", "A - B", "A | B"} {
 		node := expr.MustParse(q)
-		be, berr := EstimateExpressionMultiLevelBits(node, bfams, 0.2)
-		ce, cerr := EstimateExpressionMultiLevel(node, cfams, 0.2)
+		be, berr := estimateNodeBits(node, bfams, 0.2, true)
+		ce, cerr := estimateNode(node, cfams, 0.2, true)
 		if (berr == nil) != (cerr == nil) || (berr == nil && be.Value != ce.Value) {
 			t.Errorf("%s: bit %.2f (%v) vs converted %.2f (%v)", q, be.Value, berr, ce.Value, cerr)
 		}
@@ -369,18 +369,18 @@ func TestToCountersMergeMixed(t *testing.T) {
 func TestBitEstimatorErrors(t *testing.T) {
 	node := expr.MustParse("A & B")
 	fams := map[string]*BitFamily{"A": mustBitFamily(t, checkCfg, 1, 4)}
-	if _, err := EstimateExpressionBits(node, fams, 0.2); err == nil {
+	if _, err := estimateNodeBits(node, fams, 0.2, false); err == nil {
 		t.Error("missing stream accepted")
 	}
 	fams["B"] = mustBitFamily(t, checkCfg, 2, 4) // wrong seed
-	if _, err := EstimateExpressionBits(node, fams, 0.2); !errors.Is(err, ErrNotAligned) {
+	if _, err := estimateNodeBits(node, fams, 0.2, false); !errors.Is(err, ErrNotAligned) {
 		t.Error("unaligned bit families accepted")
 	}
-	if _, err := EstimateUnionBits(nil, 0.2); err == nil {
+	if _, err := EstimateUnionBits(nil, 0.2, false); err == nil {
 		t.Error("empty family list accepted")
 	}
 	fams["B"] = mustBitFamily(t, checkCfg, 1, 4)
-	if _, err := EstimateExpressionMultiLevelBits(node, fams, 0); err == nil {
+	if _, err := estimateNodeBits(node, fams, 0, true); err == nil {
 		t.Error("eps 0 accepted")
 	}
 }

@@ -4,25 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"setsketch/internal/expr"
 )
 
-// This file implements the paper's estimators:
+// The paper's two estimators, both run by the query kernel
+// (querykernel.go) over the families' packed views:
 //
-//   - EstimateUnion / EstimateUnionMulti — procedure SetUnionEstimator
+//   - EstimateUnion / EstimateUnionBits — procedure SetUnionEstimator
 //     (Fig. 5): scan first-level bucket indices for the first whose
 //     non-empty fraction drops below (1+ε)/8, then invert the occupancy
-//     probability p = 1 − (1 − 1/R)^u.
-//   - EstimateDifference / EstimateIntersection — procedures
-//     SetDifferenceEstimator / SetIntersectionEstimator (Fig. 6, §3.5):
-//     pick level j = ⌈log₂(β·û/(1−ε))⌉ with β = 2; count, among copies
-//     whose level-j union bucket is a singleton, the fraction that
-//     witness the operator; scale by û.
-//   - EstimateExpression — the general §4 estimator: the same witness
-//     scheme with the witness condition replaced by the Boolean mapping
-//     B(E) over per-stream bucket-occupancy flags.
+//     probability p = 1 − (1 − 1/R)^u (unionFromCounts); or, with
+//     multiLevel, the all-levels ML estimate (unionml.go).
+//   - Query.Estimate / Query.EstimateBits — the general §4 witness
+//     estimator: pick level j = ⌈log₂(β·û/(1−ε))⌉ with β = 2; count,
+//     among copies whose level-j union bucket is a singleton, the
+//     fraction whose per-stream occupancy flags satisfy the Boolean
+//     mapping B(E); scale by û. Fig. 6's SetDifferenceEstimator and
+//     SetIntersectionEstimator (§3.5) are its "A - B" and "A & B"
+//     cases.
 
 // Beta is the paper's β constant for witness-level selection; §3.4
 // derives β = 2 as the value minimizing the required number of sketch
@@ -36,7 +34,7 @@ const Beta = 2.0
 // copies or treat the expression cardinality as too small to resolve.
 var ErrNoObservations = errors.New("core: no sketch copy yielded a valid witness observation; increase the number of copies")
 
-// ErrMissingStream is returned by EstimateExpression when the
+// ErrMissingStream is returned by Query.Estimate when the
 // expression references a stream with no registered family.
 type ErrMissingStream struct{ Name string }
 
@@ -63,467 +61,16 @@ type Estimate struct {
 	// StdError is an approximate standard error of Value, when the
 	// estimator can compute one (the ML union estimator via observed
 	// Fisher information; witness estimators by combining binomial
-	// witness noise with the û uncertainty). Zero when unavailable
-	// (the paper-literal single-level estimators do not report one).
+	// witness noise with the û uncertainty). Zero for the Fig. 5 union
+	// estimator, which does not report one.
 	StdError float64
-}
-
-// occupancy abstracts "bucket b is non-empty for the union of the
-// estimator's input streams" over one sketch copy index.
-type occupancy func(copy, bucket int) bool
-
-// estimateUnionFrom runs the Fig. 5 level scan over r copies with the
-// given occupancy oracle.
-func estimateUnionFrom(cfg Config, r int, occ occupancy, eps float64) (Estimate, error) {
-	if eps <= 0 || eps >= 1 {
-		return Estimate{}, fmt.Errorf("core: relative accuracy ε = %v out of (0, 1)", eps)
-	}
-	f := (1 + eps) * float64(r) / 8
-	index := 0
-	count := 0
-	for ; index < cfg.Buckets; index++ {
-		count = 0
-		for i := 0; i < r; i++ {
-			if occ(i, index) {
-				count++
-			}
-		}
-		if float64(count) <= f {
-			break // first index with count ≤ f (Fig. 5 step 9)
-		}
-	}
-	Stats.UnionEstimates.Add(1)
-	Stats.UnionLevelScans.Add(uint64(index + 1))
-	if index == cfg.Buckets {
-		// Cannot happen for domains within the sketch width: the
-		// occupancy probability at the top level is ≈ u/2^Buckets < f/r.
-		return Estimate{}, fmt.Errorf("core: union estimator exhausted all %d levels", cfg.Buckets)
-	}
-	est := Estimate{Level: index, Copies: r, Valid: r, Witnesses: count}
-	if count == 0 {
-		// No copy saw a live element at this level; with index = 0 the
-		// union is empty, otherwise p̂ = 0 still inverts to 0, which is
-		// the natural floor of the Fig. 5 formula.
-		est.Value = 0
-		return est, nil
-	}
-	p := float64(count) / float64(r)
-	// R = 2^(index+1); Pr[element maps to bucket index] = 1/R.
-	invR := math.Pow(2, -float64(index+1))
-	// u = log(1−p̂)/log(1−1/R) (Fig. 5 step 13); Log1p keeps precision
-	// for the deep levels where 1/R underflows ordinary Log(1−x).
-	est.Value = math.Log1p(-p) / math.Log1p(-invR)
-	return est, nil
-}
-
-// EstimateUnion estimates |A ∪ B| from aligned sketch families
-// (procedure SetUnionEstimator, Fig. 5). Only the first-level bucket
-// totals are consulted — as the paper notes, set union does not need
-// the second-level structure.
-func EstimateUnion(a, b *Family, eps float64) (Estimate, error) {
-	return EstimateUnionMulti([]*Family{a, b}, eps)
-}
-
-// EstimateUnionMulti estimates |∪_i A_i| over any number of aligned
-// families. It is both the n-ary union estimator and the source of the
-// û estimate that the witness-based estimators scale by.
-func EstimateUnionMulti(fams []*Family, eps float64) (Estimate, error) {
-	if len(fams) == 0 {
-		return Estimate{}, errors.New("core: union estimator needs at least one family")
-	}
-	r, err := alignedCopies(fams)
-	if err != nil {
-		return Estimate{}, err
-	}
-	cfg := fams[0].cfg
-	occ := func(i, b int) bool {
-		for _, f := range fams {
-			if f.copies[i].totals[b] != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	return estimateUnionFrom(cfg, r, occ, eps)
-}
-
-// EstimateDistinct estimates |A| for a single stream — the classic
-// distinct-count problem — by running the union estimator on one
-// family. Unlike bitmap-based FM sketches, it remains exact under
-// deletions of the underlying multi-set.
-func EstimateDistinct(a *Family, eps float64) (Estimate, error) {
-	return EstimateUnionMulti([]*Family{a}, eps)
-}
-
-// alignedCopies verifies that all families are mutually aligned and
-// returns the usable copy count (the minimum across families).
-func alignedCopies(fams []*Family) (int, error) {
-	first := fams[0]
-	r := first.Copies()
-	for _, f := range fams[1:] {
-		if !first.Aligned(f) {
-			return 0, ErrNotAligned
-		}
-		if f.Copies() < r {
-			r = f.Copies()
-		}
-	}
-	if r < 1 {
-		return 0, errors.New("core: family has no copies")
-	}
-	return r, nil
-}
-
-// AtomicDiff is procedure AtomicDiffEstimator (Fig. 6) for one sketch
-// copy pair at the chosen level: it returns (0, false) when the level-j
-// union bucket is not a singleton (the paper's noEstimate flag), and
-// otherwise (1, true) when the singleton witnesses A − B — bucket j a
-// non-empty singleton for A and empty for B — or (0, true) when it does
-// not.
-func AtomicDiff(xa, xb *Sketch, level int) (estimate int, valid bool) {
-	if !SingletonUnionBucket(xa, xb, level) {
-		return 0, false
-	}
-	if xa.SingletonBucket(level) && xb.totals[level] == 0 {
-		return 1, true
-	}
-	return 0, true
-}
-
-// AtomicIntersect is the AtomicIntersectEstimator variant (§3.5): the
-// witness condition becomes "singleton in both A and B" (conditioned on
-// the union bucket being a singleton, both singletons are necessarily
-// the same element).
-func AtomicIntersect(xa, xb *Sketch, level int) (estimate int, valid bool) {
-	if !SingletonUnionBucket(xa, xb, level) {
-		return 0, false
-	}
-	if xa.SingletonBucket(level) && xb.SingletonBucket(level) {
-		return 1, true
-	}
-	return 0, true
-}
-
-// EstimateDifference estimates |A − B| (procedure SetDifferenceEstimator,
-// Fig. 6). The union estimate û it needs is computed internally from
-// the same families at accuracy ε/3, per §3.4.
-func EstimateDifference(a, b *Family, eps float64) (Estimate, error) {
-	return estimateWitnessBinary(a, b, eps, AtomicDiff)
-}
-
-// EstimateIntersection estimates |A ∩ B| (procedure
-// SetIntersectionEstimator, §3.5).
-func EstimateIntersection(a, b *Family, eps float64) (Estimate, error) {
-	return estimateWitnessBinary(a, b, eps, AtomicIntersect)
-}
-
-func estimateWitnessBinary(a, b *Family, eps float64, atomic func(xa, xb *Sketch, level int) (int, bool)) (Estimate, error) {
-	if eps <= 0 || eps >= 1 {
-		return Estimate{}, fmt.Errorf("core: relative accuracy ε = %v out of (0, 1)", eps)
-	}
-	r, err := alignedCopies([]*Family{a, b})
-	if err != nil {
-		return Estimate{}, err
-	}
-	u, err := EstimateUnion(a, b, eps/3)
-	if err != nil {
-		return Estimate{}, err
-	}
-	est := Estimate{Copies: r, Union: u.Value}
-	if u.Value == 0 {
-		return est, nil // empty union ⇒ empty difference/intersection
-	}
-	level := chooseWitnessLevel(a.cfg, u.Value, Beta, eps)
-	est.Level = level
-	for i := 0; i < r; i++ {
-		if obs, ok := atomic(a.copies[i], b.copies[i], level); ok {
-			est.Valid++
-			est.Witnesses += obs
-		}
-	}
-	recordWitnessStats(uint64(r), est)
-	if est.Valid == 0 {
-		return est, ErrNoObservations
-	}
-	// |A op B| ≈ p̂ · û with p̂ the fraction of valid observations that
-	// witnessed the operator (Fig. 6 step 8).
-	est.Value = float64(est.Witnesses) / float64(est.Valid) * u.Value
-	return est, nil
-}
-
-// exprOracle abstracts the per-copy, per-bucket observations the
-// witness estimators read, so the same estimation logic runs over
-// counter synopses (general update streams) and bit synopses (the
-// paper's insert-only experimental variant, §5.2). Oracles own their
-// scratch state (the flag map of the interpreted Boolean mapping), so
-// the estimator itself allocates nothing per call.
-type exprOracle interface {
-	config() Config
-	copies() int
-	// occupied reports whether stream k's copy-i bucket b is non-empty.
-	occupied(k, i, b int) bool
-	// unionOccupied reports whether any stream's copy-i bucket b is
-	// non-empty.
-	unionOccupied(i, b int) bool
-	// unionSingleton reports whether the union of all streams' copy-i
-	// bucket-b contents is a single distinct element.
-	unionSingleton(i, b int) bool
-	// flags returns the oracle's reusable per-stream flag scratch map.
-	flags() map[string]bool
-}
-
-// viewOracle reads every observation through the families' packed
-// query views (queryview.go): occupied is a one-word bit test and
-// unionSingleton is an OR of wps signature words plus the packed pair
-// test — the production oracle behind counterOracle and bitOracle.
-type viewOracle struct {
-	cfg     Config
-	r       int
-	views   []*familyView
-	scratch map[string]bool
-}
-
-func (o *viewOracle) config() Config         { return o.cfg }
-func (o *viewOracle) copies() int            { return o.r }
-func (o *viewOracle) flags() map[string]bool { return o.scratch }
-func (o *viewOracle) occupied(k, i, b int) bool {
-	return o.views[k].occ[i]>>uint(b)&1 == 1
-}
-func (o *viewOracle) unionOccupied(i, b int) bool {
-	for _, v := range o.views {
-		if v.occ[i]>>uint(b)&1 == 1 {
-			return true
-		}
-	}
-	return false
-}
-func (o *viewOracle) unionSingleton(i, b int) bool {
-	if !o.unionOccupied(i, b) {
-		return false
-	}
-	wps := o.views[0].wps
-	base := (i*o.cfg.Buckets + b) * wps
-	for w := 0; w < wps; w++ {
-		var or uint64
-		for _, v := range o.views {
-			or |= v.sig[base+w]
-		}
-		if sigCollision(or) {
-			return false
-		}
-	}
-	return true
-}
-
-// counterOracle adapts aligned counter families through their views.
-type counterOracle struct{ viewOracle }
-
-func newCounterOracle(fams []*Family, r int, streams int) *counterOracle {
-	o := &counterOracle{viewOracle{
-		cfg:     fams[0].cfg,
-		r:       r,
-		views:   make([]*familyView, len(fams)),
-		scratch: make(map[string]bool, streams),
-	}}
-	for k, f := range fams {
-		o.views[k] = f.queryView()
-	}
-	return o
-}
-
-// bitOracle adapts aligned bit families through their views: union
-// contents are the OR of the per-stream signatures (bits saturate, so
-// OR is set union).
-type bitOracle struct{ viewOracle }
-
-func newBitOracle(fams []*BitFamily, r int, streams int) *bitOracle {
-	o := &bitOracle{viewOracle{
-		cfg:     fams[0].cfg,
-		r:       r,
-		views:   make([]*familyView, len(fams)),
-		scratch: make(map[string]bool, streams),
-	}}
-	for k, f := range fams {
-		o.views[k] = f.queryView()
-	}
-	return o
-}
-
-// rawCounterOracle is the pre-bitmap oracle that scans counters
-// directly (SingletonUnionBucketN over summed cells). It is retained as
-// the independently-derived baseline behind EstimateExpressionReference:
-// differential tests pin the compiled/bitmap kernels bit-identical to
-// it, and the benchmark suite measures the kernels' speedup against it.
-type rawCounterOracle struct {
-	fams        []*Family
-	scratch     []*Sketch
-	flagScratch map[string]bool
-}
-
-func newRawCounterOracle(fams []*Family, streams int) *rawCounterOracle {
-	return &rawCounterOracle{
-		fams:        fams,
-		scratch:     make([]*Sketch, len(fams)),
-		flagScratch: make(map[string]bool, streams),
-	}
-}
-
-func (o *rawCounterOracle) config() Config         { return o.fams[0].cfg }
-func (o *rawCounterOracle) flags() map[string]bool { return o.flagScratch }
-func (o *rawCounterOracle) copies() int {
-	r := o.fams[0].Copies()
-	for _, f := range o.fams[1:] {
-		if f.Copies() < r {
-			r = f.Copies()
-		}
-	}
-	return r
-}
-func (o *rawCounterOracle) occupied(k, i, b int) bool {
-	return o.fams[k].copies[i].totals[b] != 0
-}
-func (o *rawCounterOracle) unionOccupied(i, b int) bool {
-	for _, f := range o.fams {
-		if f.copies[i].totals[b] != 0 {
-			return true
-		}
-	}
-	return false
-}
-func (o *rawCounterOracle) unionSingleton(i, b int) bool {
-	for k, f := range o.fams {
-		o.scratch[k] = f.copies[i]
-	}
-	return SingletonUnionBucketN(o.scratch, b)
-}
-
-// rawBitOracle is the pre-bitmap oracle over bit sketches, retained for
-// the same differential-baseline role as rawCounterOracle.
-type rawBitOracle struct {
-	fams        []*BitFamily
-	flagScratch map[string]bool
-}
-
-func newRawBitOracle(fams []*BitFamily, streams int) *rawBitOracle {
-	return &rawBitOracle{fams: fams, flagScratch: make(map[string]bool, streams)}
-}
-
-func (o *rawBitOracle) config() Config         { return o.fams[0].cfg }
-func (o *rawBitOracle) flags() map[string]bool { return o.flagScratch }
-func (o *rawBitOracle) copies() int {
-	r := o.fams[0].Copies()
-	for _, f := range o.fams[1:] {
-		if f.Copies() < r {
-			r = f.Copies()
-		}
-	}
-	return r
-}
-func (o *rawBitOracle) occupied(k, i, b int) bool {
-	return !o.fams[k].copies[i].BucketEmpty(b)
-}
-func (o *rawBitOracle) unionOccupied(i, b int) bool {
-	for _, f := range o.fams {
-		if !f.copies[i].BucketEmpty(b) {
-			return true
-		}
-	}
-	return false
-}
-func (o *rawBitOracle) unionSingleton(i, b int) bool {
-	// Fast path: every element sets one of the two g_1 cells, so a
-	// bucket empty in every stream is decided by j = 0 alone — and
-	// most (copy, level) pairs are empty.
-	if !o.unionOccupied(i, b) {
-		return false
-	}
-	s := o.fams[0].cfg.SecondLevel
-	for j := 0; j < s; j++ {
-		var or0, or1 bool
-		for _, f := range o.fams {
-			x := f.copies[i]
-			or0 = or0 || x.bit(b, j, 0)
-			or1 = or1 || x.bit(b, j, 1)
-		}
-		if or0 && or1 {
-			return false // two distinct elements split by g_j
-		}
-	}
-	return true
-}
-
-// estimateExpressionOracle is the shared §4 witness estimator. With
-// multiLevel false it reads the single chosen level and the Fig. 5
-// single-level û (the paper's pseudo-code, verbatim); with multiLevel
-// true it harvests witnesses from every level AND scales by the
-// all-levels maximum-likelihood û (see EstimateExpressionMultiLevel and
-// estimateUnionMLFrom) — the same synopsis read more thoroughly on
-// both axes.
-func estimateExpressionOracle(e expr.Node, names []string, o exprOracle, eps float64, multiLevel bool) (Estimate, error) {
-	if eps <= 0 || eps >= 1 {
-		return Estimate{}, fmt.Errorf("core: relative accuracy ε = %v out of (0, 1)", eps)
-	}
-	cfg := o.config()
-	r := o.copies()
-	if r < 1 {
-		return Estimate{}, errors.New("core: family has no copies")
-	}
-	var counts [64]int
-	for level := 0; level < cfg.Buckets; level++ {
-		for i := 0; i < r; i++ {
-			if o.unionOccupied(i, level) {
-				counts[level]++
-			}
-		}
-	}
-	var u Estimate
-	var err error
-	if multiLevel {
-		u, err = unionMLFromCounts(cfg, r, &counts)
-	} else {
-		u, err = unionFromCounts(cfg, r, &counts, eps/3)
-	}
-	if err != nil {
-		return Estimate{}, err
-	}
-	est := Estimate{Copies: r, Union: u.Value}
-	if u.Value == 0 {
-		return est, nil
-	}
-	lo := chooseWitnessLevel(cfg, u.Value, Beta, eps)
-	hi := lo
-	if multiLevel {
-		lo, hi = 0, cfg.Buckets-1
-	}
-	est.Level = chooseWitnessLevel(cfg, u.Value, Beta, eps)
-
-	flags := o.flags()
-	for i := 0; i < r; i++ {
-		for level := lo; level <= hi; level++ {
-			if !o.unionSingleton(i, level) {
-				continue // noEstimate: union bucket is not a singleton
-			}
-			est.Valid++
-			for k, name := range names {
-				flags[name] = o.occupied(k, i, level)
-			}
-			if e.EvalBool(flags) {
-				est.Witnesses++
-			}
-		}
-	}
-	if err := finishWitnessEstimate(&est, u, uint64(r)*uint64(hi-lo+1)); err != nil {
-		return est, err
-	}
-	return est, nil
 }
 
 // unionFromCounts is the Fig. 5 estimator over a precomputed occupancy
 // profile: counts[j] = number of copies whose union bucket j is
-// non-empty. It is shared by the interpreted oracle path and the
-// compiled query kernel so both produce bit-identical values and Stats
-// (the level-scan accounting matches estimateUnionFrom's early break
-// even though the profile was filled eagerly).
+// non-empty. The level-scan accounting in Stats counts the levels up
+// to the break, as a lazy scan would, even though the profile was
+// filled eagerly.
 func unionFromCounts(cfg Config, r int, counts *[64]int, eps float64) (Estimate, error) {
 	if eps <= 0 || eps >= 1 {
 		return Estimate{}, fmt.Errorf("core: relative accuracy ε = %v out of (0, 1)", eps)
@@ -554,8 +101,8 @@ func unionFromCounts(cfg Config, r int, counts *[64]int, eps float64) (Estimate,
 }
 
 // finishWitnessEstimate folds witness tallies into the final estimate —
-// one shared epilogue so the interpreted, compiled, and parallel paths
-// cannot drift numerically. est must carry Valid/Witnesses/Union.
+// shared with the tests' interpreted reference, so the two cannot
+// drift numerically. est must carry Valid/Witnesses/Union.
 //
 // The error bar is the delta method: Var(p̂·û) ≈ û²·p(1−p)/valid +
 // p²·Var(û). Witness observations within one sketch are correlated
@@ -571,174 +118,6 @@ func finishWitnessEstimate(est *Estimate, u Estimate, checks uint64) error {
 	varP := p * (1 - p) / float64(est.Valid)
 	est.StdError = math.Sqrt(u.Value*u.Value*varP + p*p*u.StdError*u.StdError)
 	return nil
-}
-
-// orderedFamilies resolves an expression's stream names against a
-// family map, in sorted-name order.
-func orderedFamilies[F any](e expr.Node, fams map[string]F, isNil func(F) bool) ([]string, []F, error) {
-	names := expr.Streams(e)
-	ordered := make([]F, 0, len(names))
-	for _, name := range names {
-		f, ok := fams[name]
-		if !ok || isNil(f) {
-			return nil, nil, &ErrMissingStream{Name: name}
-		}
-		ordered = append(ordered, f)
-	}
-	return names, ordered, nil
-}
-
-// EstimateExpression estimates |E| for a general set expression over
-// named update streams (§4). fams maps stream names to their aligned
-// synopsis families; every stream referenced by e must be present.
-//
-// Per sketch copy, the estimator (1) requires the chosen level-j bucket
-// to be a singleton for ∪_i A_i — checked by SingletonUnionBucketN over
-// the summed counters — and (2) evaluates the Boolean mapping B(E) on
-// the per-stream occupancy flags of that bucket: leaves are "bucket j
-// non-empty in X_{A_i}", ∪ ↦ ∨, ∩ ↦ ∧, − ↦ ∧¬. The fraction of valid
-// copies satisfying B(E), scaled by û = |∪_i A_i|, estimates |E|.
-func EstimateExpression(e expr.Node, fams map[string]*Family, eps float64) (Estimate, error) {
-	return EstimateExpressionOpts(e, fams, eps, false, DefaultEstimateOptions())
-}
-
-// EstimateExpressionOpts is EstimateExpression with explicit kernel
-// options and level policy. It compiles the expression and runs the
-// bitmap-backed query kernel (querykernel.go); expressions over more
-// than expr.MaxCompiledStreams distinct streams fall back to the
-// interpreted oracle, still reading through the packed views.
-func EstimateExpressionOpts(e expr.Node, fams map[string]*Family, eps float64, multiLevel bool, opts EstimateOptions) (Estimate, error) {
-	q, err := CompileQuery(e)
-	if err != nil {
-		names, ordered, err := orderedFamilies(e, fams, func(f *Family) bool { return f == nil })
-		if err != nil {
-			return Estimate{}, err
-		}
-		r, err := alignedCopies(ordered)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return estimateExpressionOracle(e, names, newCounterOracle(ordered, r, len(names)), eps, multiLevel)
-	}
-	return q.Estimate(fams, eps, multiLevel, opts)
-}
-
-// EstimateExpressionReference is the pre-kernel interpreted estimator —
-// counter scans, per-witness flag maps, recursive EvalBool — retained
-// as the independently-derived baseline: tests pin the compiled and
-// parallel kernels bit-identical to it, and the benchmark suite
-// measures the kernels against it.
-func EstimateExpressionReference(e expr.Node, fams map[string]*Family, eps float64, multiLevel bool) (Estimate, error) {
-	names, ordered, err := orderedFamilies(e, fams, func(f *Family) bool { return f == nil })
-	if err != nil {
-		return Estimate{}, err
-	}
-	if _, err := alignedCopies(ordered); err != nil {
-		return Estimate{}, err
-	}
-	return estimateExpressionOracle(e, names, newRawCounterOracle(ordered, len(names)), eps, multiLevel)
-}
-
-// alignedBitCopies verifies mutual alignment of bit families.
-func alignedBitCopies(fams []*BitFamily) error {
-	first := fams[0]
-	for _, f := range fams[1:] {
-		if !first.Aligned(f) {
-			return ErrNotAligned
-		}
-	}
-	return nil
-}
-
-// EstimateExpressionBits is EstimateExpression over the paper's
-// insert-only bit synopses (§5.2). Estimates are identical to the
-// counter version on the same insert stream and coins.
-func EstimateExpressionBits(e expr.Node, fams map[string]*BitFamily, eps float64) (Estimate, error) {
-	return EstimateExpressionBitsOpts(e, fams, eps, false, DefaultEstimateOptions())
-}
-
-// EstimateExpressionBitsOpts is EstimateExpressionBits with explicit
-// kernel options and level policy; see EstimateExpressionOpts.
-func EstimateExpressionBitsOpts(e expr.Node, fams map[string]*BitFamily, eps float64, multiLevel bool, opts EstimateOptions) (Estimate, error) {
-	q, err := CompileQuery(e)
-	if err != nil {
-		names, ordered, err := orderedFamilies(e, fams, func(f *BitFamily) bool { return f == nil })
-		if err != nil {
-			return Estimate{}, err
-		}
-		if err := alignedBitCopies(ordered); err != nil {
-			return Estimate{}, err
-		}
-		r := bitFamilyCopies(ordered)
-		return estimateExpressionOracle(e, names, newBitOracle(ordered, r, len(names)), eps, multiLevel)
-	}
-	return q.EstimateBits(fams, eps, multiLevel, opts)
-}
-
-// EstimateExpressionReferenceBits is EstimateExpressionReference over
-// bit synopses.
-func EstimateExpressionReferenceBits(e expr.Node, fams map[string]*BitFamily, eps float64, multiLevel bool) (Estimate, error) {
-	names, ordered, err := orderedFamilies(e, fams, func(f *BitFamily) bool { return f == nil })
-	if err != nil {
-		return Estimate{}, err
-	}
-	if err := alignedBitCopies(ordered); err != nil {
-		return Estimate{}, err
-	}
-	return estimateExpressionOracle(e, names, newRawBitOracle(ordered, len(names)), eps, multiLevel)
-}
-
-// EstimateExpressionMultiLevelBits is EstimateExpressionMultiLevel
-// over bit synopses.
-func EstimateExpressionMultiLevelBits(e expr.Node, fams map[string]*BitFamily, eps float64) (Estimate, error) {
-	return EstimateExpressionBitsOpts(e, fams, eps, true, DefaultEstimateOptions())
-}
-
-// bitFamilyCopies returns the usable copy count across aligned bit
-// families (the minimum).
-func bitFamilyCopies(fams []*BitFamily) int {
-	r := fams[0].Copies()
-	for _, f := range fams[1:] {
-		if f.Copies() < r {
-			r = f.Copies()
-		}
-	}
-	return r
-}
-
-// EstimateUnionBits estimates |∪_i A_i| over bit families with the
-// specialized Fig. 5 estimator.
-func EstimateUnionBits(fams []*BitFamily, eps float64) (Estimate, error) {
-	if len(fams) == 0 {
-		return Estimate{}, errors.New("core: union estimator needs at least one family")
-	}
-	if err := alignedBitCopies(fams); err != nil {
-		return Estimate{}, err
-	}
-	o := newRawBitOracle(fams, len(fams))
-	occ := func(i, b int) bool { return o.unionOccupied(i, b) }
-	return estimateUnionFrom(o.config(), o.copies(), occ, eps)
-}
-
-// EstimateExpressionMultiLevel estimates |E| like EstimateExpression but
-// harvests witness observations from *every* first-level bucket instead
-// of only the chosen level j.
-//
-// The key identity of the §3.4/§4 analysis — the conditional witness
-// probability Pr[bucket non-empty singleton for E | bucket singleton
-// for ∪A_i] = |E|/|∪A_i| — holds at every level, because both the
-// numerator and denominator carry the same (1−1/R)^(|U|−1) factor
-// regardless of R. The level choice in Fig. 6 only tunes the *yield*
-// of valid observations at one bucket; summing over all Θ(log M)
-// buckets raises the expected yield per sketch from (u/R)e^(−u/R) ≈
-// 0.06–0.14 to Σ_j (u/2^j)e^(−u/2^j) ≈ 1/ln 2 ≈ 1.44 — an order of
-// magnitude more valid observations from identical storage. This is
-// the variant that reproduces the absolute error levels of the paper's
-// experimental figures (§5.2); see EXPERIMENTS.md. Observations within
-// one sketch are slightly negatively correlated across levels, which
-// only helps concentration.
-func EstimateExpressionMultiLevel(e expr.Node, fams map[string]*Family, eps float64) (Estimate, error) {
-	return EstimateExpressionOpts(e, fams, eps, true, DefaultEstimateOptions())
 }
 
 // RecommendedCopies returns the Θ(log(1/δ)/ε²) copy count for the union
@@ -767,13 +146,4 @@ func RecommendedWitnessCopies(eps, delta, unionToResultRatio float64) int {
 	yield := (1 - eps1) * (Beta - 1) / (Beta * Beta)
 	need := 2 * math.Log(1/delta) / (eps * eps) * unionToResultRatio
 	return int(math.Ceil(need / yield))
-}
-
-// SortStreams returns the expression's stream names in the order
-// EstimateExpression binds them (sorted), for callers that want to
-// pre-validate their family maps.
-func SortStreams(names []string) []string {
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	return out
 }

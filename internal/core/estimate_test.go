@@ -62,7 +62,7 @@ func TestEstimateUnionAccuracy(t *testing.T) {
 	const u, inter, r = 4096, 1024, 256
 	a, b := overlapStreams(rng, u, inter)
 	fams := buildFamilies(t, estCfg, 2003, r, map[string][]uint64{"A": a, "B": b})
-	est, err := EstimateUnion(fams["A"], fams["B"], 0.1)
+	est, err := EstimateUnion([]*Family{fams["A"], fams["B"]}, 0.1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestEstimateDistinctSingleStream(t *testing.T) {
 		f.Insert(e)
 		f.Insert(e) // duplicates must not affect the distinct count
 	}
-	est, err := EstimateDistinct(f, 0.1)
+	est, err := EstimateUnion([]*Family{f}, 0.1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEstimateDistinctSingleStream(t *testing.T) {
 func TestEstimateUnionEmpty(t *testing.T) {
 	a := mustFamily(t, estCfg, 1, 32)
 	b := mustFamily(t, estCfg, 1, 32)
-	est, err := EstimateUnion(a, b, 0.2)
+	est, err := EstimateUnion([]*Family{a, b}, 0.2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +114,16 @@ func TestEstimateUnionEmpty(t *testing.T) {
 func TestEstimateUnionBadInputs(t *testing.T) {
 	a := mustFamily(t, estCfg, 1, 8)
 	b := mustFamily(t, estCfg, 2, 8) // different seed
-	if _, err := EstimateUnion(a, b, 0.1); !errors.Is(err, ErrNotAligned) {
+	if _, err := EstimateUnion([]*Family{a, b}, 0.1, false); !errors.Is(err, ErrNotAligned) {
 		t.Errorf("unaligned union: err = %v, want ErrNotAligned", err)
 	}
 	c := mustFamily(t, estCfg, 1, 8)
 	for _, eps := range []float64{0, 1, -0.5, 2} {
-		if _, err := EstimateUnion(a, c, eps); err == nil {
+		if _, err := EstimateUnion([]*Family{a, c}, eps, false); err == nil {
 			t.Errorf("ε = %v accepted", eps)
 		}
 	}
-	if _, err := EstimateUnionMulti(nil, 0.1); err == nil {
+	if _, err := EstimateUnion(nil, 0.1, false); err == nil {
 		t.Error("empty family list accepted")
 	}
 }
@@ -133,7 +133,7 @@ func TestEstimateIntersectionAccuracy(t *testing.T) {
 	const u, inter, r = 4096, 1024, 512
 	a, b := overlapStreams(rng, u, inter)
 	fams := buildFamilies(t, estCfg, 41, r, map[string][]uint64{"A": a, "B": b})
-	est, err := EstimateIntersection(fams["A"], fams["B"], 0.15)
+	est, err := estimateNode(expr.MustParse("A & B"), fams, 0.15, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestEstimateDifferenceAccuracy(t *testing.T) {
 	diff := (u - inter) / 2 // |A − B|
 	a, b := overlapStreams(rng, u, inter)
 	fams := buildFamilies(t, estCfg, 42, r, map[string][]uint64{"A": a, "B": b})
-	est, err := EstimateDifference(fams["A"], fams["B"], 0.15)
+	est, err := estimateNode(expr.MustParse("A - B"), fams, 0.15, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEstimateDifferenceDisjointAndIdentical(t *testing.T) {
 	// Disjoint: |A − B| = |A| = u/2.
 	a, b := overlapStreams(rng, u, 0)
 	fams := buildFamilies(t, estCfg, 5, r, map[string][]uint64{"A": a, "B": b})
-	est, err := EstimateDifference(fams["A"], fams["B"], 0.2)
+	est, err := estimateNode(expr.MustParse("A - B"), fams, 0.2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEstimateDifferenceDisjointAndIdentical(t *testing.T) {
 	}
 	// Identical streams: |A − B| = 0; every witness observation is 0.
 	fams2 := buildFamilies(t, estCfg, 6, r, map[string][]uint64{"A": a, "B": a})
-	est2, err := EstimateDifference(fams2["A"], fams2["B"], 0.2)
+	est2, err := estimateNode(expr.MustParse("A - B"), fams2, 0.2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestEstimateIntersectionUnderDeletions(t *testing.T) {
 		fams["A"].Delete(e)
 		fams["B"].Delete(e)
 	}
-	est, err := EstimateIntersection(fams["A"], fams["B"], 0.15)
+	est, err := estimateNode(expr.MustParse("A & B"), fams, 0.15, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,31 +211,38 @@ func TestEstimateIntersectionUnderDeletions(t *testing.T) {
 	}
 }
 
+// TestEstimateExpressionMatchesBinaryOperators pins the kernel's
+// single-level "A - B" and "A & B" to the literal Fig. 6 procedures,
+// and its Fig. 5 union to the literal level scan, exactly on every
+// field the literal forms report (they leave StdError 0), over streams
+// with deletions.
 func TestEstimateExpressionMatchesBinaryOperators(t *testing.T) {
-	// The §4 estimator specialized to "A - B" and "A & B" must agree
-	// (statistically) with the dedicated Fig. 6 estimators.
-	rng := hashing.NewRNG(2)
-	const u, inter, r = 4096, 1024, 512
-	a, b := overlapStreams(rng, u, inter)
-	fams := buildFamilies(t, estCfg, 8, r, map[string][]uint64{"A": a, "B": b})
-
-	exprInter := expr.MustParse("A & B")
-	est, err := EstimateExpression(exprInter, fams, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(est.Value, inter); e > 0.4 {
-		t.Errorf("expression A & B estimate %.0f, want ≈ %d", est.Value, inter)
-	}
-
-	exprDiff := expr.MustParse("A - B")
-	diff := (u - inter) / 2
-	est2, err := EstimateExpression(exprDiff, fams, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(est2.Value, diff); e > 0.4 {
-		t.Errorf("expression A - B estimate %.0f, want ≈ %d", est2.Value, diff)
+	ops := []struct {
+		src    string
+		atomic func(xa, xb *Sketch, level int) (int, bool)
+	}{{"A - B", atomicDiff}, {"A & B", atomicIntersect}}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := hashing.NewRNG(seed)
+		a, b := overlapStreams(rng, 600, int(seed*7))
+		fams := buildFamilies(t, estCfg, seed, 48, map[string][]uint64{"A": a, "B": b})
+		for _, e := range a[:len(a)/4] {
+			fams["A"].Delete(e)
+		}
+		for _, eps := range []float64{0.1, 0.3} {
+			u, err := EstimateUnion([]*Family{fams["A"], fams["B"]}, eps, false)
+			want, wantErr := fig5Union([]*Family{fams["A"], fams["B"]}, eps)
+			if u != want || (err == nil) != (wantErr == nil) {
+				t.Fatalf("seed %d ε=%v union: kernel %+v (%v), Fig. 5 %+v (%v)", seed, eps, u, err, want, wantErr)
+			}
+			for _, op := range ops {
+				got, err := estimateNode(expr.MustParse(op.src), fams, eps, false)
+				want, wantErr := fig6Estimate(fams["A"], fams["B"], eps, op.atomic)
+				got.StdError = 0
+				if got != want || (err == nil) != (wantErr == nil) {
+					t.Fatalf("seed %d ε=%v %s: kernel %+v (%v), Fig. 6 %+v (%v)", seed, eps, op.src, got, err, want, wantErr)
+				}
+			}
+		}
 	}
 }
 
@@ -254,7 +261,7 @@ func TestEstimateExpressionThreeStreams(t *testing.T) {
 		}
 	}
 	fams := buildFamilies(t, estCfg, 77, 512, map[string][]uint64{"A": a, "B": b, "C": c})
-	est, err := EstimateExpression(expr.MustParse("(A - B) & C"), fams, 0.15)
+	est, err := estimateNode(expr.MustParse("(A - B) & C"), fams, 0.15, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +279,7 @@ func TestEstimateExpressionUnionViaWitness(t *testing.T) {
 	const u, inter, r = 4096, 1024, 512
 	a, b := overlapStreams(rng, u, inter)
 	fams := buildFamilies(t, estCfg, 10, r, map[string][]uint64{"A": a, "B": b})
-	est, err := EstimateExpression(expr.MustParse("A | B"), fams, 0.15)
+	est, err := estimateNode(expr.MustParse("A | B"), fams, 0.15, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +290,12 @@ func TestEstimateExpressionUnionViaWitness(t *testing.T) {
 
 func TestEstimateExpressionErrors(t *testing.T) {
 	fams := buildFamilies(t, estCfg, 1, 8, map[string][]uint64{"A": {1, 2}})
-	_, err := EstimateExpression(expr.MustParse("A - B"), fams, 0.1)
+	_, err := estimateNode(expr.MustParse("A - B"), fams, 0.1, false)
 	var missing *ErrMissingStream
 	if !errors.As(err, &missing) || missing.Name != "B" {
 		t.Errorf("missing stream: err = %v", err)
 	}
-	if _, err := EstimateExpression(expr.MustParse("A"), fams, 0); err == nil {
+	if _, err := estimateNode(expr.MustParse("A"), fams, 0, false); err == nil {
 		t.Error("ε = 0 accepted")
 	}
 	if missing.Error() == "" {
@@ -301,41 +308,12 @@ func TestEstimateExpressionEmptyStreams(t *testing.T) {
 		"A": mustFamily(t, estCfg, 4, 16),
 		"B": mustFamily(t, estCfg, 4, 16),
 	}
-	est, err := EstimateExpression(expr.MustParse("A & B"), fams, 0.2)
+	est, err := estimateNode(expr.MustParse("A & B"), fams, 0.2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Value != 0 {
 		t.Errorf("expression over empty streams estimated %v", est.Value)
-	}
-}
-
-func TestAtomicEstimatorsDirectly(t *testing.T) {
-	cfg := estCfg
-	a := mustSketch(t, cfg, 50)
-	b := mustSketch(t, cfg, 50)
-	a.Insert(7)
-	lvl := bucketOf(a, 7)
-
-	// Witness for A − B: singleton in A, empty in B.
-	if obs, ok := AtomicDiff(a, b, lvl); !ok || obs != 1 {
-		t.Errorf("AtomicDiff = (%d, %v), want (1, true)", obs, ok)
-	}
-	if obs, ok := AtomicIntersect(a, b, lvl); !ok || obs != 0 {
-		t.Errorf("AtomicIntersect = (%d, %v), want (0, true)", obs, ok)
-	}
-	// Put the same element in B: now an intersection witness, not a
-	// difference witness.
-	b.Insert(7)
-	if obs, ok := AtomicDiff(a, b, lvl); !ok || obs != 0 {
-		t.Errorf("AtomicDiff after shared insert = (%d, %v), want (0, true)", obs, ok)
-	}
-	if obs, ok := AtomicIntersect(a, b, lvl); !ok || obs != 1 {
-		t.Errorf("AtomicIntersect after shared insert = (%d, %v), want (1, true)", obs, ok)
-	}
-	// Empty union bucket: noEstimate.
-	if _, ok := AtomicDiff(a, b, lvl+1); ok {
-		t.Error("AtomicDiff on empty bucket returned a valid observation")
 	}
 }
 
@@ -379,7 +357,7 @@ func TestEstimateExpressionMultiLevelAccuracy(t *testing.T) {
 	a, b := overlapStreams(rng, u, inter)
 	fams := buildFamilies(t, estCfg, 21, r, map[string][]uint64{"A": a, "B": b})
 	node := expr.MustParse("A & B")
-	multi, err := EstimateExpressionMultiLevel(node, fams, 0.15)
+	multi, err := estimateNode(node, fams, 0.15, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +365,7 @@ func TestEstimateExpressionMultiLevelAccuracy(t *testing.T) {
 	if e := relErr(multi.Value, inter); e > 0.5 {
 		t.Errorf("multi-level estimate %.0f for true %d (rel err %.2f)", multi.Value, inter, e)
 	}
-	single, err := EstimateExpression(node, fams, 0.15)
+	single, err := estimateNode(node, fams, 0.15, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,17 +380,17 @@ func TestEstimateExpressionMultiLevelEdgeCases(t *testing.T) {
 		"B": mustFamily(t, estCfg, 4, 16),
 	}
 	node := expr.MustParse("A & B")
-	est, err := EstimateExpressionMultiLevel(node, fams, 0.2)
+	est, err := estimateNode(node, fams, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Value != 0 {
 		t.Errorf("multi-level over empty streams estimated %v", est.Value)
 	}
-	if _, err := EstimateExpressionMultiLevel(node, map[string]*Family{"A": fams["A"]}, 0.2); err == nil {
+	if _, err := estimateNode(node, map[string]*Family{"A": fams["A"]}, 0.2, true); err == nil {
 		t.Error("missing stream accepted")
 	}
-	if _, err := EstimateExpressionMultiLevel(node, fams, 0); err == nil {
+	if _, err := estimateNode(node, fams, 0, true); err == nil {
 		t.Error("eps = 0 accepted")
 	}
 }
@@ -436,12 +414,12 @@ func TestErrorShrinksWithCopies(t *testing.T) {
 			}
 			small[k] = tr
 		}
-		if est, err := EstimateIntersection(small["A"], small["B"], 0.3); err == nil {
+		if est, err := estimateNode(expr.MustParse("A & B"), small, 0.3, false); err == nil {
 			errSmall += relErr(est.Value, inter)
 		} else {
 			errSmall += 1
 		}
-		est, err := EstimateIntersection(fams["A"], fams["B"], 0.3)
+		est, err := estimateNode(expr.MustParse("A & B"), fams, 0.3, false)
 		if err != nil {
 			t.Fatal(err)
 		}

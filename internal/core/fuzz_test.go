@@ -216,6 +216,100 @@ func FuzzQueryViewMaintained(f *testing.F) {
 	})
 }
 
+// FuzzEstimateMatchesReference drives the query kernel against the
+// interpreted reference (reference_test.go) on small families built
+// from a tape of legal updates — multiplicities, single deletions, and
+// deletions that cancel an element exactly — and a fuzzer-built
+// expression over four streams. Query.Estimate must equal the
+// reference bit for bit, single- and multi-level, serially and on
+// three workers; the Fig. 5 union must equal the literal level scan.
+//
+// shape: bits 0–3 pick r = 1..16 copies, bits 4–5 ε, bit 6 s = 2 or
+// 16, and bit 7 the wide shape: the expression joins
+// ((s00 | … | s63) − s64), so 65 streams reach the uncompiled scan.
+// node is a prefix encoding (fuzzNode); tape holds 3-byte updates
+// [stream, element, kind].
+func FuzzEstimateMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint8, node, tape []byte) {
+		cfg := Config{Buckets: 12, SecondLevel: 2, FirstWise: 4}
+		if shape&0x40 != 0 {
+			cfg.SecondLevel = 16
+		}
+		r := 1 + int(shape&0x0f)
+		eps := []float64{0.1, 0.25, 0.5, 0.9}[shape>>4&3]
+		e := fuzzNode(&node, 4)
+		streams := 4
+		if shape&0x80 != 0 {
+			streams = 65
+			var wide expr.Node = &expr.Stream{Name: "s00"}
+			for k := 1; k < 64; k++ {
+				wide = &expr.Binary{Op: expr.Union, L: wide, R: &expr.Stream{Name: fmt.Sprintf("s%02d", k)}}
+			}
+			wide = &expr.Binary{Op: expr.Diff, L: wide, R: &expr.Stream{Name: "s64"}}
+			e = &expr.Binary{Op: expr.Op(seed % 4), L: e, R: wide}
+		}
+		fams := make(map[string]*Family, streams)
+		ordered := make([]*Family, streams)
+		for k := range ordered {
+			ordered[k], _ = NewFamily(cfg, seed, r)
+			fams[fmt.Sprintf("s%02d", k)] = ordered[k]
+		}
+		net := map[[2]uint64]int64{}
+		for ; len(tape) >= 3; tape = tape[3:] {
+			k, el := uint64(tape[0])%uint64(streams), uint64(tape[1]%64)
+			key := [2]uint64{k, el}
+			switch v := int64(tape[2]>>2)%3 + 1; tape[2] % 4 {
+			case 0, 1:
+				net[key] += v
+				ordered[k].Update(el, v)
+			case 2: // delete one occurrence, if any is left
+				if net[key] > 0 {
+					net[key]--
+					ordered[k].Update(el, -1)
+				}
+			case 3: // cancel the element exactly
+				ordered[k].Update(el, -net[key])
+				net[key] = 0
+			}
+		}
+		q, err := CompileQuery(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, multi := range []bool{false, true} {
+			want, wantErr := referenceEstimate(e, fams, eps, multi)
+			for _, workers := range []int{0, 3} {
+				got, err := q.Estimate(fams, eps, multi, EstimateOptions{Workers: workers})
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
+					t.Fatalf("%s multi=%v workers=%d: kernel %+v (%v), reference %+v (%v)",
+						e, multi, workers, got, err, want, wantErr)
+				}
+			}
+		}
+		got, err := EstimateUnion(ordered, eps, false)
+		want, wantErr := fig5Union(ordered, eps)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
+			t.Fatalf("union: kernel %+v (%v), Fig. 5 %+v (%v)", got, err, want, wantErr)
+		}
+	})
+}
+
+// fuzzNode decodes a prefix-encoded expression over streams s00–s03:
+// a byte with the high bit set is the operator of its low two bits
+// applied to the two expressions that follow, any other byte the leaf
+// s0(b mod 4). Past depth or input, leaves are s00.
+func fuzzNode(b *[]byte, depth int) expr.Node {
+	if len(*b) == 0 {
+		return &expr.Stream{Name: "s00"}
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	if c&0x80 == 0 || depth == 0 {
+		return &expr.Stream{Name: fmt.Sprintf("s%02d", c%4)}
+	}
+	return &expr.Binary{Op: expr.Op(c % 4), L: fuzzNode(b, depth-1), R: fuzzNode(b, depth-1)}
+}
+
 // FuzzReadFamily hardens deserialization: arbitrary bytes must be
 // rejected cleanly (error, not panic, not unbounded allocation), and
 // any input that IS accepted must re-serialize to a working family.

@@ -114,4 +114,51 @@ func TestGenSeedCorpus(t *testing.T) {
 		[4]byte{update, 9, 4, 0}, [4]byte{read, 1},
 		[4]byte{viaTruncate, 7, 4, 0}, [4]byte{read},
 		[4]byte{clone}, [4]byte{viaTruncate, 8, 5, 0}, [4]byte{read, 1})
+
+	// FuzzEstimateMatchesReference: shape packs r−1 (bits 0–3), ε
+	// (4–5), s = 16 (6) and the 65-stream shape (7); node is a prefix
+	// expression (0x80|op applies op, else leaf s0(b mod 4)); tape is
+	// [stream, element, kind] with kinds 0/1 insert 1 + (kind>>2)%3
+	// copies, 2 delete one, 3 cancel the element.
+	est := func(name string, seed uint64, shape uint8, node []byte, ups ...[3]byte) {
+		var tape []byte
+		for _, u := range ups {
+			tape = append(tape, u[:]...)
+		}
+		write("FuzzEstimateMatchesReference", name,
+			"uint64("+strconv.FormatUint(seed, 10)+")",
+			"uint8("+strconv.Itoa(int(shape))+")",
+			bytesArg(node), bytesArg(tape))
+	}
+	// Element e is in s00–s02 by its low three bits, in s03 when
+	// e%5 == 0; every seventh loses one copy from s00.
+	var overlap [][3]byte
+	for e := byte(0); e < 64; e++ {
+		for k := byte(0); k < 3; k++ {
+			if e>>k&1 == 1 {
+				overlap = append(overlap, [3]byte{k, e, 4 * (e % 3)})
+			}
+		}
+		if e%5 == 0 {
+			overlap = append(overlap, [3]byte{3, e, 0})
+		}
+		if e%7 == 0 {
+			overlap = append(overlap, [3]byte{0, e, 2})
+		}
+	}
+	// (s00 − s01) & s02 at r = 12, s = 16, with deletions.
+	est("seed-three-streams", 5, 0x4b, []byte{0x81, 0x82, 0, 1, 2}, overlap...)
+	// s00 ^ s01 at r = 16, ε = 0.9, s = 2: undetected collisions.
+	est("seed-low-s", 8, 0x3f, []byte{0x83, 0, 1}, overlap...)
+	// One copy: witness scans that often find nothing.
+	est("seed-one-copy", 2, 0x40, []byte{0x80, 0x82, 0, 1, 0x81, 2, 3}, overlap...)
+	// Every element inserted and then cancelled: empty union.
+	est("seed-cancelled", 3, 0x47, []byte{0x82, 0, 1},
+		[3]byte{0, 1, 8}, [3]byte{1, 2, 0}, [3]byte{0, 1, 3}, [3]byte{1, 2, 2})
+	// The 65-stream shape: (s00 − s01) | ((s00 | … | s63) − s64).
+	var wide [][3]byte
+	for e := byte(0); e < 130; e++ {
+		wide = append(wide, [3]byte{e % 65, e, 0})
+	}
+	est("seed-wide", 4, 0xc7, []byte{0x82, 0, 1}, append(wide, overlap...)...)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -9,20 +10,23 @@ import (
 	"setsketch/internal/expr"
 )
 
-// The compiled query kernel — the read-path mirror of the digest
-// update kernel (family.go). Three layers stack:
+// The query kernel is the only estimator: every union and expression
+// estimate runs one occupancy pass and, for expressions, one witness
+// scan. Three layers stack:
 //
 //  1. expr.Compile turns the expression's Boolean mapping B(E) into a
 //     truth table / postfix program over a packed uint64 occupancy
-//     word, replacing the per-witness map[string]bool and recursive
-//     EvalBool of the interpreted estimator.
+//     word. Expressions over more than expr.MaxCompiledStreams
+//     streams keep the parsed node and evaluate B(E) with EvalBool
+//     inside the same scan.
 //  2. familyView (queryview.go) caches packed per-copy occupancy and
 //     cell-signature bitmaps behind each family's version counter, so
 //     "bucket occupied" and "union bucket singleton" are word tests.
-//  3. The witness scan partitions the r independent sketch copies
-//     across a bounded worker pool; per-worker integer tallies merge
+//  3. Both passes partition the r independent sketch copies across a
+//     bounded worker pool; per-worker integer tallies merge
 //     associatively, so the result is bit-identical to the serial scan
-//     (pinned against EstimateExpressionReference by tests).
+//     (pinned against the interpreted counter-scanning reference in
+//     the tests).
 
 // EstimateOptions tunes the query kernel. The zero value (Workers 0)
 // runs serially; DefaultEstimateOptions parallelizes across
@@ -35,8 +39,7 @@ type EstimateOptions struct {
 	Workers int
 }
 
-// DefaultEstimateOptions returns the options the public wrappers use:
-// one worker per available CPU.
+// DefaultEstimateOptions returns one worker per available CPU.
 func DefaultEstimateOptions() EstimateOptions {
 	return EstimateOptions{Workers: runtime.GOMAXPROCS(0)}
 }
@@ -47,103 +50,150 @@ func DefaultEstimateOptions() EstimateOptions {
 // registration and reuse the Query every round.
 type Query struct {
 	node  expr.Node
-	names []string // sorted distinct streams; bit k of the occupancy word
-	prog  *expr.Program
+	names []string      // sorted distinct streams; bit k of the occupancy word
+	prog  *expr.Program // nil over > expr.MaxCompiledStreams streams
 }
 
-// CompileQuery compiles an expression for the query kernel. It fails
-// only for expressions over more than expr.MaxCompiledStreams (64)
-// distinct streams; callers then fall back to the interpreted path.
+// CompileQuery compiles an expression for the query kernel. It accepts
+// every expression: over more than expr.MaxCompiledStreams (64)
+// distinct streams the witness scan evaluates the parsed node instead
+// of a compiled program, so the error is always nil.
 func CompileQuery(e expr.Node) (*Query, error) {
-	names := expr.Streams(e)
-	prog, err := expr.Compile(e, names)
-	if err != nil {
-		return nil, err
+	q := &Query{node: e, names: expr.Streams(e)}
+	if len(q.names) <= expr.MaxCompiledStreams {
+		prog, err := expr.Compile(e, q.names)
+		if err != nil {
+			return nil, err
+		}
+		q.prog = prog
 	}
-	return &Query{node: e, names: names, prog: prog}, nil
+	return q, nil
 }
 
-// Node returns the parsed expression.
-func (q *Query) Node() expr.Node { return q.node }
-
-// String renders the canonical expression text.
-func (q *Query) String() string { return q.node.String() }
-
-// Streams returns the sorted distinct stream names the query reads.
-func (q *Query) Streams() []string { return append([]string(nil), q.names...) }
-
-// Estimate runs the compiled kernel over counter families; see
-// EstimateExpression for the estimator semantics. The serial path
-// (opts.Workers ≤ 1) performs no allocations once the family views are
-// warm.
+// Estimate estimates |E| over counter families: fams maps stream
+// names to aligned families, and every stream the query references
+// must be present.
+//
+// Per sketch copy and level, the §4 estimator (1) requires the union
+// bucket to be a singleton for ∪_i A_i and (2) evaluates B(E) on the
+// per-stream occupancy flags of that bucket: leaves are "bucket
+// non-empty in X_{A_i}", ∪ ↦ ∨, ∩ ↦ ∧, − ↦ ∧¬. The fraction of valid
+// observations satisfying B(E), scaled by û = |∪_i A_i|, estimates
+// |E|. Fig. 6's difference and intersection estimators are the
+// two-stream cases "A - B" and "A & B".
+//
+// With multiLevel false the scan reads the single level
+// j = ⌈log₂(β·û/(1−ε))⌉ and û is the Fig. 5 estimate at ε/3 — the
+// paper's pseudo-code verbatim. With multiLevel true it harvests
+// witnesses from every level and scales by the all-levels
+// maximum-likelihood û (unionml.go). The conditional witness
+// probability |E|/|∪A_i| holds at every level, because numerator and
+// denominator carry the same (1−1/R)^(|U|−1) factor, so summing over
+// the Θ(log M) levels raises the expected valid observations per
+// sketch from ≈ 0.06–0.14 to ≈ 1/ln 2 ≈ 1.44 from identical storage;
+// this is the variant that reproduces the paper's experimental error
+// levels (§5.2, EXPERIMENTS.md).
+//
+// The serial path (opts.Workers ≤ 1) allocates nothing for queries
+// over at most 64 streams once the family views are warm.
 func (q *Query) Estimate(fams map[string]*Family, eps float64, multiLevel bool, opts EstimateOptions) (Estimate, error) {
-	var views [expr.MaxCompiledStreams]*familyView
-	var first *Family
-	r := 0
-	for k, name := range q.names {
-		f := fams[name]
-		if f == nil {
-			return Estimate{}, &ErrMissingStream{Name: name}
-		}
-		if k == 0 {
-			first, r = f, f.Copies()
-		} else {
-			if !first.Aligned(f) {
-				return Estimate{}, ErrNotAligned
-			}
-			if f.Copies() < r {
-				r = f.Copies()
-			}
-		}
-		views[k] = f.queryView()
-	}
-	return q.run(first.cfg, r, views[:len(q.names)], eps, multiLevel, opts.Workers)
+	return estimateQuery(q, fams, eps, multiLevel, opts)
 }
 
-// EstimateBits runs the compiled kernel over bit families; estimates
-// are identical to the counter version on the same insert stream and
-// coins.
+// EstimateBits is Estimate over the paper's insert-only bit synopses
+// (§5.2). Estimates are identical to the counter version on the same
+// insert stream and coins.
 func (q *Query) EstimateBits(fams map[string]*BitFamily, eps float64, multiLevel bool, opts EstimateOptions) (Estimate, error) {
-	var views [expr.MaxCompiledStreams]*familyView
-	var first *BitFamily
-	r := 0
-	for k, name := range q.names {
+	return estimateQuery(q, fams, eps, multiLevel, opts)
+}
+
+// EstimateUnion estimates |∪_i A_i| over aligned counter families: the
+// Fig. 5 level scan at accuracy eps (procedure SetUnionEstimator) with
+// multiLevel false, the all-levels maximum-likelihood estimator with
+// multiLevel true. A single family gives the distinct count of its
+// stream, exact under deletions.
+func EstimateUnion(fams []*Family, eps float64, multiLevel bool) (Estimate, error) {
+	return estimateUnion(fams, eps, multiLevel)
+}
+
+// EstimateUnionBits is EstimateUnion over bit families.
+func EstimateUnionBits(fams []*BitFamily, eps float64, multiLevel bool) (Estimate, error) {
+	return estimateUnion(fams, eps, multiLevel)
+}
+
+// synopsis is what the kernel reads of a family representation.
+type synopsis[F any] interface {
+	*Family | *BitFamily
+	Config() Config
+	Copies() int
+	Aligned(F) bool
+	queryView() *familyView
+}
+
+func estimateQuery[F synopsis[F]](q *Query, fams map[string]F, eps float64, multiLevel bool, opts EstimateOptions) (Estimate, error) {
+	var fbuf [expr.MaxCompiledStreams]F
+	var vbuf [expr.MaxCompiledStreams]*familyView
+	ordered, views := fbuf[:0], vbuf[:]
+	if len(q.names) > len(fbuf) {
+		ordered, views = make([]F, 0, len(q.names)), make([]*familyView, len(q.names))
+	}
+	for _, name := range q.names {
 		f := fams[name]
 		if f == nil {
 			return Estimate{}, &ErrMissingStream{Name: name}
 		}
-		if k == 0 {
-			first, r = f, f.Copies()
-		} else {
-			if !first.Aligned(f) {
-				return Estimate{}, ErrNotAligned
-			}
-			if f.Copies() < r {
-				r = f.Copies()
-			}
-		}
-		views[k] = f.queryView()
+		ordered = append(ordered, f)
 	}
-	return q.run(first.cfg, r, views[:len(q.names)], eps, multiLevel, opts.Workers)
+	views = views[:len(ordered)]
+	cfg, r, err := bindViews(ordered, views)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return estimate(q, cfg, r, views, eps, multiLevel, opts.Workers)
 }
 
-// run is the kernel shared by both synopsis representations: a union
-// occupancy pass feeding the (single-level or ML) û estimate, then the
-// witness scan at the chosen level range. Both passes partition copies
-// across workers when workers > 1; partial tallies are integers and
-// merge associatively, and the float epilogue is the same code the
-// interpreted path runs, so results are bit-identical regardless of
-// worker count.
-func (q *Query) run(cfg Config, r int, views []*familyView, eps float64, multiLevel bool, workers int) (Estimate, error) {
+func estimateUnion[F synopsis[F]](fams []F, eps float64, multiLevel bool) (Estimate, error) {
+	if len(fams) == 0 {
+		return Estimate{}, errors.New("core: union estimator needs at least one family")
+	}
+	views := make([]*familyView, len(fams))
+	cfg, r, err := bindViews(fams, views)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return estimate(nil, cfg, r, views, eps, multiLevel, 0)
+}
+
+// bindViews checks that fams are mutually aligned and loads their
+// query views into views[:len(fams)]; it returns the shared
+// configuration and the usable copy count (the minimum).
+func bindViews[F synopsis[F]](fams []F, views []*familyView) (Config, int, error) {
+	first := fams[0]
+	r := first.Copies()
+	for k, f := range fams {
+		if k > 0 && !first.Aligned(f) {
+			return Config{}, 0, ErrNotAligned
+		}
+		r = min(r, f.Copies())
+		views[k] = f.queryView()
+	}
+	return first.Config(), r, nil
+}
+
+// estimate is the one estimator body behind all four entry points: a
+// union occupancy pass feeding the (Fig. 5 or ML) û estimate, then —
+// for an expression query, q non-nil — the witness scan at the chosen
+// level range. Both passes partition copies across workers when
+// workers > 1; partial tallies are integers and merge associatively,
+// so results are bit-identical regardless of worker count.
+func estimate(q *Query, cfg Config, r int, views []*familyView, eps float64, multiLevel bool, workers int) (Estimate, error) {
 	if eps <= 0 || eps >= 1 {
 		return Estimate{}, fmt.Errorf("core: relative accuracy ε = %v out of (0, 1)", eps)
 	}
 	if r < 1 {
-		return Estimate{}, fmt.Errorf("core: family has no copies")
+		return Estimate{}, errors.New("core: family has no copies")
 	}
-	if workers > r {
-		workers = r
-	}
+	workers = min(workers, r)
 
 	var counts [64]int
 	if workers > 1 {
@@ -163,43 +213,43 @@ func (q *Query) run(cfg Config, r int, views []*familyView, eps float64, multiLe
 
 	var u Estimate
 	var err error
-	if multiLevel {
+	switch {
+	case multiLevel:
 		u, err = unionMLFromCounts(cfg, r, &counts)
-	} else {
-		u, err = unionFromCounts(cfg, r, &counts, eps/3)
+	case q == nil:
+		u, err = unionFromCounts(cfg, r, &counts, eps)
+	default:
+		u, err = unionFromCounts(cfg, r, &counts, eps/3) // §3.4
 	}
-	if err != nil {
-		return Estimate{}, err
+	if q == nil || err != nil {
+		return u, err
 	}
 	est := Estimate{Copies: r, Union: u.Value}
 	if u.Value == 0 {
 		return est, nil
 	}
-	lvlLo := chooseWitnessLevel(cfg, u.Value, Beta, eps)
-	lvlHi := lvlLo
+	est.Level = chooseWitnessLevel(cfg, u.Value, Beta, eps)
+	lvlLo, lvlHi := est.Level, est.Level
 	if multiLevel {
 		lvlLo, lvlHi = 0, cfg.Buckets-1
 	}
-	est.Level = chooseWitnessLevel(cfg, u.Value, Beta, eps)
 
 	if workers > 1 {
 		vs := append([]*familyView(nil), views...)
 		valid := make([]int, workers)
 		witness := make([]int, workers)
 		forEachRange(workers, r, func(t, lo, hi int) {
-			valid[t], witness[t] = scanWitnesses(q.prog, vs, cfg.Buckets, lo, hi, lvlLo, lvlHi)
+			valid[t], witness[t] = q.scanWitnesses(vs, cfg.Buckets, lo, hi, lvlLo, lvlHi)
 		})
 		for t := 0; t < workers; t++ {
 			est.Valid += valid[t]
 			est.Witnesses += witness[t]
 		}
 	} else {
-		est.Valid, est.Witnesses = scanWitnesses(q.prog, views, cfg.Buckets, 0, r, lvlLo, lvlHi)
+		est.Valid, est.Witnesses = q.scanWitnesses(views, cfg.Buckets, 0, r, lvlLo, lvlHi)
 	}
-	if err := finishWitnessEstimate(&est, u, uint64(r)*uint64(lvlHi-lvlLo+1)); err != nil {
-		return est, err
-	}
-	return est, nil
+	err = finishWitnessEstimate(&est, u, uint64(r)*uint64(lvlHi-lvlLo+1))
+	return est, err
 }
 
 // forEachRange splits [0, r) into `workers` near-equal chunks and runs
@@ -234,10 +284,16 @@ func countUnionOccupancy(views []*familyView, lo, hi int, counts *[64]int) {
 
 // scanWitnesses runs the witness scan over copies [lo, hi) and levels
 // [lvlLo, lvlHi]: for each candidate whose union bucket is occupied and
-// passes the packed singleton test, it builds the per-stream occupancy
-// word and evaluates the compiled Boolean mapping.
-func scanWitnesses(prog *expr.Program, views []*familyView, buckets, lo, hi, lvlLo, lvlHi int) (valid, witness int) {
+// passes the packed singleton test, it evaluates B(E) on the
+// per-stream occupancy flags — as one packed word through the compiled
+// program, or through a flag map for queries too wide to compile.
+func (q *Query) scanWitnesses(views []*familyView, buckets, lo, hi, lvlLo, lvlHi int) (valid, witness int) {
 	wps := views[0].wps
+	prog := q.prog
+	var flags map[string]bool
+	if prog == nil {
+		flags = make(map[string]bool, len(q.names))
+	}
 	for i := lo; i < hi; i++ {
 		var union uint64
 		for _, v := range views {
@@ -266,6 +322,15 @@ func scanWitnesses(prog *expr.Program, views []*familyView, buckets, lo, hi, lvl
 				continue // ≥ 2 distinct elements: noEstimate
 			}
 			valid++
+			if prog == nil {
+				for k, v := range views {
+					flags[q.names[k]] = v.occ[i]>>uint(level)&1 == 1
+				}
+				if q.node.EvalBool(flags) {
+					witness++
+				}
+				continue
+			}
 			var occWord uint64
 			for k, v := range views {
 				occWord |= (v.occ[i] >> uint(level) & 1) << uint(k)

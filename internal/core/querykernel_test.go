@@ -35,6 +35,16 @@ func buildKernelFamilies(t testing.TB, cfg Config, seed uint64, r int) map[strin
 	return buildFamilies(t, cfg, seed, r, map[string][]uint64{"A": a, "B": b, "C": c})
 }
 
+// mustCompile compiles e for the kernel.
+func mustCompile(t testing.TB, e expr.Node) *Query {
+	t.Helper()
+	q, err := CompileQuery(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // sameEstimate requires exact (bit-identical) equality of every field.
 func sameEstimate(t *testing.T, label string, got, want Estimate) {
 	t.Helper()
@@ -44,18 +54,18 @@ func sameEstimate(t *testing.T, label string, got, want Estimate) {
 }
 
 // TestCompiledMatchesReference pins the compiled kernel (serial and
-// parallel) against the legacy counter-scanning estimator: same
+// parallel) against the interpreted counter-scanning reference: same
 // expression, same synopses, bit-identical Estimate.
 func TestCompiledMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{3, 17} {
 		fams := buildKernelFamilies(t, estCfg, seed, 96)
 		for _, src := range kernelExprs {
 			node := expr.MustParse(src)
+			q := mustCompile(t, node)
 			for _, multi := range []bool{false, true} {
-				ref, refErr := EstimateExpressionReference(node, fams, 0.15, multi)
+				ref, refErr := referenceEstimate(node, fams, 0.15, multi)
 				for _, workers := range []int{0, 1, 3, 8, 96, 200} {
-					opts := EstimateOptions{Workers: workers}
-					got, err := EstimateExpressionOpts(node, fams, 0.15, multi, opts)
+					got, err := q.Estimate(fams, 0.15, multi, EstimateOptions{Workers: workers})
 					if (err == nil) != (refErr == nil) {
 						t.Fatalf("%s seed=%d multi=%v workers=%d: err %v vs ref %v",
 							src, seed, multi, workers, err, refErr)
@@ -90,10 +100,11 @@ func TestCompiledMatchesReferenceBits(t *testing.T) {
 	}
 	for _, src := range kernelExprs {
 		node := expr.MustParse(src)
+		q := mustCompile(t, node)
 		for _, multi := range []bool{false, true} {
-			ref, refErr := EstimateExpressionReferenceBits(node, fams, 0.15, multi)
+			ref, refErr := referenceEstimateBits(node, fams, 0.15, multi)
 			for _, workers := range []int{0, 4, r} {
-				got, err := EstimateExpressionBitsOpts(node, fams, 0.15, multi, EstimateOptions{Workers: workers})
+				got, err := q.EstimateBits(fams, 0.15, multi, EstimateOptions{Workers: workers})
 				if (err == nil) != (refErr == nil) {
 					t.Fatalf("%s multi=%v workers=%d: err %v vs ref %v", src, multi, workers, err, refErr)
 				}
@@ -103,64 +114,39 @@ func TestCompiledMatchesReferenceBits(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesInterpretedOracle pins the compiled kernel against
-// the view-backed interpreted fallback (the > 64-stream path), which
-// must agree exactly too.
-func TestCompiledMatchesInterpretedOracle(t *testing.T) {
-	fams := buildKernelFamilies(t, estCfg, 7, 48)
-	for _, src := range kernelExprs {
-		node := expr.MustParse(src)
-		names, ordered, err := orderedFamilies(node, fams, func(f *Family) bool { return f == nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := alignedCopies(ordered)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, multi := range []bool{false, true} {
-			interp, interpErr := estimateExpressionOracle(node, names, newCounterOracle(ordered, r, len(ordered)), 0.15, multi)
-			got, err := EstimateExpressionOpts(node, fams, 0.15, multi, EstimateOptions{})
-			if (err == nil) != (interpErr == nil) {
-				t.Fatalf("%s multi=%v: err %v vs interpreted %v", src, multi, err, interpErr)
-			}
-			sameEstimate(t, fmt.Sprintf("interp %s multi=%v", src, multi), got, interp)
-		}
-	}
-}
-
 // TestKernelErrorPaths exercises every estimator error through the
 // compiled path, the interpreted reference, and the bit variant.
 func TestKernelErrorPaths(t *testing.T) {
 	fams := buildKernelFamilies(t, estCfg, 11, 16)
 	node := expr.MustParse("A - B")
+	q := mustCompile(t, node)
 	opts := DefaultEstimateOptions()
 
 	for _, eps := range []float64{0, -0.5, 1, 1.5} {
-		if _, err := EstimateExpressionOpts(node, fams, eps, true, opts); err == nil {
+		if _, err := q.Estimate(fams, eps, true, opts); err == nil {
 			t.Errorf("eps=%v: want error", eps)
 		}
-		if _, err := EstimateExpressionReference(node, fams, eps, true); err == nil {
+		if _, err := referenceEstimate(node, fams, eps, true); err == nil {
 			t.Errorf("reference eps=%v: want error", eps)
 		}
 	}
 
 	missing := expr.MustParse("A - Nope")
 	var miss *ErrMissingStream
-	if _, err := EstimateExpressionOpts(missing, fams, 0.1, true, opts); !errors.As(err, &miss) || miss.Name != "Nope" {
+	if _, err := mustCompile(t, missing).Estimate(fams, 0.1, true, opts); !errors.As(err, &miss) || miss.Name != "Nope" {
 		t.Errorf("missing stream: got %v", err)
 	}
-	if _, err := EstimateExpressionReference(missing, fams, 0.1, true); err == nil {
+	if _, err := referenceEstimate(missing, fams, 0.1, true); err == nil {
 		t.Error("reference missing stream: want error")
 	}
 
 	// Misaligned: different seed.
 	bad := buildFamilies(t, estCfg, 999, 16, map[string][]uint64{"B": {1, 2, 3}})
 	mixed := map[string]*Family{"A": fams["A"], "B": bad["B"]}
-	if _, err := EstimateExpressionOpts(node, mixed, 0.1, true, opts); !errors.Is(err, ErrNotAligned) {
+	if _, err := q.Estimate(mixed, 0.1, true, opts); !errors.Is(err, ErrNotAligned) {
 		t.Errorf("misaligned: got %v", err)
 	}
-	if _, err := EstimateExpressionReference(node, mixed, 0.1, true); !errors.Is(err, ErrNotAligned) {
+	if _, err := referenceEstimate(node, mixed, 0.1, true); !errors.Is(err, ErrNotAligned) {
 		t.Errorf("reference misaligned: got %v", err)
 	}
 
@@ -178,18 +164,18 @@ func TestKernelErrorPaths(t *testing.T) {
 		dense["A"].Insert(e*2 + 1)
 		dense["B"].Insert(e * 2)
 	}
-	_, err := EstimateExpressionOpts(node, dense, 0.9, true, opts)
-	_, refErr := EstimateExpressionReference(node, dense, 0.9, true)
+	_, err := q.Estimate(dense, 0.9, true, opts)
+	_, refErr := referenceEstimate(node, dense, 0.9, true)
 	if !errors.Is(err, ErrNoObservations) || !errors.Is(refErr, ErrNoObservations) {
 		t.Errorf("dense no-observations: compiled %v, reference %v", err, refErr)
 	}
 
 	// Bit variant errors.
 	bf := map[string]*BitFamily{"A": mustBitFamily(t, estCfg, 5, 8)}
-	if _, err := EstimateExpressionBitsOpts(node, bf, 0.1, true, opts); err == nil {
+	if _, err := q.EstimateBits(bf, 0.1, true, opts); err == nil {
 		t.Error("bits missing stream: want error")
 	}
-	if _, err := EstimateExpressionBitsOpts(expr.MustParse("A"), bf, 2, true, opts); err == nil {
+	if _, err := mustCompile(t, expr.MustParse("A")).EstimateBits(bf, 2, true, opts); err == nil {
 		t.Error("bits eps out of range: want error")
 	}
 }
@@ -222,15 +208,16 @@ func TestEstimateSerialAllocFree(t *testing.T) {
 func TestViewInvalidation(t *testing.T) {
 	fams := buildKernelFamilies(t, estCfg, 19, 32)
 	node := expr.MustParse("A | B")
+	q := mustCompile(t, node)
 	estimate := func() Estimate {
-		est, err := EstimateExpressionOpts(node, fams, 0.15, true, EstimateOptions{})
+		est, err := q.Estimate(fams, 0.15, true, EstimateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return est
 	}
 	reference := func() Estimate {
-		est, err := EstimateExpressionReference(node, fams, 0.15, true)
+		est, err := referenceEstimate(node, fams, 0.15, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +287,6 @@ func TestViewMatchesChecks(t *testing.T) {
 	fams := buildKernelFamilies(t, estCfg, 29, 24)
 	a, b := fams["A"], fams["B"]
 	va, vb := a.queryView(), b.queryView()
-	o := &viewOracle{cfg: a.cfg, r: 24, views: []*familyView{va, vb}}
 	for i := 0; i < 24; i++ {
 		sketches := []*Sketch{a.Copy(i), b.Copy(i)}
 		for lvl := 0; lvl < a.cfg.Buckets; lvl++ {
@@ -308,8 +294,12 @@ func TestViewMatchesChecks(t *testing.T) {
 			if got := va.occ[i]>>uint(lvl)&1 == 1; got != occA {
 				t.Fatalf("copy %d level %d: view occ %v, totals %v", i, lvl, got, occA)
 			}
-			want := SingletonUnionBucketN(sketches, lvl)
-			if got := o.unionSingleton(i, lvl); got != want {
+			got := (va.occ[i]|vb.occ[i])>>uint(lvl)&1 == 1
+			base := (i*a.cfg.Buckets + lvl) * va.wps
+			for w := 0; w < va.wps; w++ {
+				got = got && !sigCollision(va.sig[base+w]|vb.sig[base+w])
+			}
+			if want := SingletonUnionBucketN(sketches, lvl); got != want {
 				t.Fatalf("copy %d level %d: view singleton %v, check %v", i, lvl, got, want)
 			}
 		}
@@ -335,11 +325,11 @@ func TestToCountersKernelAgreement(t *testing.T) {
 	}
 	cfams := map[string]*Family{"A": bfams["A"].ToCounters(), "B": bfams["B"].ToCounters()}
 	node := expr.MustParse("A - B")
-	got, err := EstimateExpressionOpts(node, cfams, 0.15, true, DefaultEstimateOptions())
+	got, err := estimateNode(node, cfams, 0.15, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EstimateExpressionReference(node, cfams, 0.15, true)
+	want, err := referenceEstimate(node, cfams, 0.15, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestEstimatorStatsAccumulate(t *testing.T) {
 	}
 
 	before := Stats.Snapshot()
-	est, err := EstimateExpressionMultiLevel(node, fams, 0.2)
+	est, err := estimateNode(node, fams, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,9 @@ func TestEstimatorStatsAccumulate(t *testing.T) {
 		t.Error("healthy estimate counted as no-observations")
 	}
 
-	// The single-level binary estimators feed the same counters.
+	// A single-level estimate probes one level per copy.
 	before = Stats.Snapshot()
-	if _, err := EstimateIntersection(fams["A"], fams["B"], 0.3); err != nil {
+	if _, err := estimateNode(expr.MustParse("A & B"), fams, 0.3, false); err != nil {
 		t.Fatal(err)
 	}
 	after = Stats.Snapshot()

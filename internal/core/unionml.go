@@ -20,33 +20,20 @@ import (
 //	p_j(u) = 1 − (1 − 2^−(j+1))^u,
 //
 // so the whole occupancy profile is a likelihood function of the single
-// unknown u. EstimateUnionML maximizes the joint (independence-
+// unknown u. unionMLFromCounts maximizes the joint (independence-
 // approximate) log-likelihood
 //
 //	L(u) = Σ_j [ c_j·ln p_j(u) + (r − c_j)·ln(1 − p_j(u)) ]
 //
-// over u by ternary search (each term is concave in u, so L is
+// over u by golden-section search (each term is concave in u, so L is
 // unimodal). Counts at different levels of one sketch are mildly
 // negatively correlated — the product form is an approximation — but
 // every marginal is exact, so the estimator stays consistent; at
 // r = 512 its observed error is ≈ 3× smaller than Fig. 5's (see the
 // level ablation in EXPERIMENTS.md). This mirrors the multi-level
 // witness harvest: identical storage and maintenance, strictly more of
-// the synopsis read at estimation time.
-func estimateUnionMLFrom(cfg Config, r int, occ occupancy) (Estimate, error) {
-	if r < 1 {
-		return Estimate{}, errors.New("core: family has no copies")
-	}
-	var counts [64]int
-	for j := 0; j < cfg.Buckets; j++ {
-		for i := 0; i < r; i++ {
-			if occ(i, j) {
-				counts[j]++
-			}
-		}
-	}
-	return unionMLFromCounts(cfg, r, &counts)
-}
+// the synopsis read at estimation time. EstimateUnion with multiLevel
+// true runs it; so does every multi-level witness estimate, for û.
 
 // qTable holds q_j = −ln(1 − 2^−(j+1)), so p_j(u) = 1 − e^(−q_j·u).
 // Precomputed once: the table depends only on the level index, and
@@ -61,9 +48,7 @@ var qTable = func() [64]float64 {
 }()
 
 // unionMLFromCounts is the ML estimator over a precomputed occupancy
-// profile (counts[j] = copies whose union bucket j is non-empty) —
-// shared by the interpreted oracle path and the compiled query kernel
-// so both produce bit-identical values and Stats.
+// profile (counts[j] = copies whose union bucket j is non-empty).
 func unionMLFromCounts(cfg Config, r int, countsArr *[64]int) (Estimate, error) {
 	if r < 1 {
 		return Estimate{}, errors.New("core: family has no copies")
@@ -158,44 +143,4 @@ func unionMLFromCounts(cfg Config, r int, countsArr *[64]int) (Estimate, error) 
 	}
 	est.Level = best
 	return est, nil
-}
-
-// EstimateUnionMultiML estimates |∪_i A_i| over aligned counter
-// families with the all-levels maximum-likelihood estimator.
-func EstimateUnionMultiML(fams []*Family, eps float64) (Estimate, error) {
-	if eps <= 0 || eps >= 1 {
-		return Estimate{}, errors.New("core: relative accuracy out of (0, 1)")
-	}
-	if len(fams) == 0 {
-		return Estimate{}, errors.New("core: union estimator needs at least one family")
-	}
-	r, err := alignedCopies(fams)
-	if err != nil {
-		return Estimate{}, err
-	}
-	occ := func(i, b int) bool {
-		for _, f := range fams {
-			if f.copies[i].totals[b] != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	return estimateUnionMLFrom(fams[0].cfg, r, occ)
-}
-
-// EstimateUnionBitsML is EstimateUnionMultiML over bit families.
-func EstimateUnionBitsML(fams []*BitFamily, eps float64) (Estimate, error) {
-	if eps <= 0 || eps >= 1 {
-		return Estimate{}, errors.New("core: relative accuracy out of (0, 1)")
-	}
-	if len(fams) == 0 {
-		return Estimate{}, errors.New("core: union estimator needs at least one family")
-	}
-	if err := alignedBitCopies(fams); err != nil {
-		return Estimate{}, err
-	}
-	o := newRawBitOracle(fams, len(fams))
-	occ := func(i, b int) bool { return o.unionOccupied(i, b) }
-	return estimateUnionMLFrom(o.config(), o.copies(), occ)
 }

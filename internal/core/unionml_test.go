@@ -20,7 +20,7 @@ func TestUnionMLAccuracy(t *testing.T) {
 				f.Insert(e)
 			}
 		}
-		est, err := EstimateUnionMultiML([]*Family{f}, 0.1)
+		est, err := EstimateUnion([]*Family{f}, 0.1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +47,11 @@ func TestUnionMLTighterThanFig5(t *testing.T) {
 				f.Insert(e)
 			}
 		}
-		ml, err := EstimateUnionMultiML([]*Family{f}, 0.1)
+		ml, err := EstimateUnion([]*Family{f}, 0.1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig5, err := EstimateDistinct(f, 0.1)
+		fig5, err := EstimateUnion([]*Family{f}, 0.1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestUnionMLStdErrorCalibrated(t *testing.T) {
 				f.Insert(e)
 			}
 		}
-		est, err := EstimateUnionMultiML([]*Family{f}, 0.1)
+		est, err := EstimateUnion([]*Family{f}, 0.1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestWitnessStdErrorReported(t *testing.T) {
 	rng := hashing.NewRNG(45)
 	a, b := overlapStreams(rng, 2048, 512)
 	fams := buildFamilies(t, estCfg, 46, 256, map[string][]uint64{"A": a, "B": b})
-	est, err := EstimateExpressionMultiLevel(expr.MustParse("A & B"), fams, 0.2)
+	est, err := estimateNode(expr.MustParse("A & B"), fams, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +121,21 @@ func TestWitnessStdErrorReported(t *testing.T) {
 
 func TestUnionMLEmptyAndErrors(t *testing.T) {
 	f := mustFamily(t, estCfg, 1, 16)
-	est, err := EstimateUnionMultiML([]*Family{f}, 0.1)
+	est, err := EstimateUnion([]*Family{f}, 0.1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Value != 0 {
 		t.Errorf("empty stream ML estimate %v", est.Value)
 	}
-	if _, err := EstimateUnionMultiML(nil, 0.1); err == nil {
+	if _, err := EstimateUnion(nil, 0.1, true); err == nil {
 		t.Error("empty family list accepted")
 	}
-	if _, err := EstimateUnionMultiML([]*Family{f}, 0); err == nil {
+	if _, err := EstimateUnion([]*Family{f}, 0, true); err == nil {
 		t.Error("eps 0 accepted")
 	}
 	g := mustFamily(t, estCfg, 2, 16)
-	if _, err := EstimateUnionMultiML([]*Family{f, g}, 0.1); err == nil {
+	if _, err := EstimateUnion([]*Family{f, g}, 0.1, true); err == nil {
 		t.Error("unaligned families accepted")
 	}
 }
@@ -146,7 +146,7 @@ func TestUnionMLSmallExactRange(t *testing.T) {
 	for e := uint64(0); e < 10; e++ {
 		f.Insert(e)
 	}
-	est, err := EstimateUnionMultiML([]*Family{f}, 0.1)
+	est, err := EstimateUnion([]*Family{f}, 0.1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +164,18 @@ func TestUnionMLBitsMatchesCounters(t *testing.T) {
 		cf.Insert(e)
 		bf.Insert(e)
 	}
-	ce, err := EstimateUnionMultiML([]*Family{cf}, 0.1)
+	ce, err := EstimateUnion([]*Family{cf}, 0.1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := EstimateUnionBitsML([]*BitFamily{bf}, 0.1)
+	be, err := EstimateUnionBits([]*BitFamily{bf}, 0.1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ce.Value != be.Value {
 		t.Errorf("counter ML %.2f vs bit ML %.2f", ce.Value, be.Value)
 	}
-	if _, err := EstimateUnionBitsML(nil, 0.1); err == nil {
+	if _, err := EstimateUnionBits(nil, 0.1, true); err == nil {
 		t.Error("empty bit family list accepted")
 	}
 }
@@ -194,11 +194,11 @@ func TestUnionMLDeletionInvariance(t *testing.T) {
 		churned.Update(ph, 3)
 		churned.Update(ph, -3)
 	}
-	ec, err := EstimateUnionMultiML([]*Family{clean}, 0.1)
+	ec, err := EstimateUnion([]*Family{clean}, 0.1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed, err := EstimateUnionMultiML([]*Family{churned}, 0.1)
+	ed, err := EstimateUnion([]*Family{churned}, 0.1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,9 +136,8 @@ func (e *Engine) Now() time.Time { return e.opts.Now() }
 // and keyed window state. All fields are engine-lock-domain state.
 type View struct {
 	spec      ViewSpec
-	node      expr.Node
-	q         *core.Query // nil beyond the 64-stream kernel limit
-	streams   []string    // sorted logical streams the expression reads
+	q         *core.Query
+	streams   []string // sorted logical streams the expression reads
 	streamSet map[string]struct{}
 	groups    *Groups
 	// version stamps content-visible changes (observations, non-empty
@@ -174,17 +173,18 @@ func (e *Engine) Register(spec ViewSpec) (*View, error) {
 	if err != nil {
 		return nil, err // unreachable: Validate parsed it
 	}
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return nil, err
+	}
 	v := &View{
 		spec:      spec,
-		node:      node,
+		q:         q,
 		streams:   expr.Streams(node),
 		streamSet: make(map[string]struct{}),
 	}
 	for _, name := range v.streams {
 		v.streamSet[name] = struct{}{}
-	}
-	if q, err := core.CompileQuery(node); err == nil {
-		v.q = q
 	}
 	max := e.opts.MaxGroups
 	if !spec.Grouped() {
@@ -416,13 +416,7 @@ func (e *Engine) Evaluate(v *View, eps float64, opts core.EstimateOptions) []Gro
 			}
 		}
 		if err == nil {
-			var est core.Estimate
-			if v.q != nil {
-				est, err = v.q.Estimate(fams, eps, true, opts)
-			} else {
-				est, err = core.EstimateExpressionOpts(v.node, fams, eps, true, opts)
-			}
-			res.Est = est
+			res.Est, err = v.q.Estimate(fams, eps, true, opts)
 		}
 		if err != nil {
 			res.Err = err.Error()

@@ -9,17 +9,13 @@ import (
 	"setsketch/internal/obs"
 )
 
-func mustQuery(t testing.TB, src string) (expr.Node, *core.Query) {
+func mustQuery(t testing.TB, src string) *core.Query {
 	t.Helper()
-	node, err := expr.Parse(src)
+	q, err := core.CompileQuery(expr.MustParse(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.CompileQuery(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return node, q
+	return q
 }
 
 // fakeClock is an injectable window clock.
@@ -112,8 +108,8 @@ func TestEngineUngroupedObserveEvaluate(t *testing.T) {
 		}
 		fams[stream].Update(uint64(i%300), 1)
 	}
-	node, _ := mustQuery(t, "a | b")
-	want, err := core.EstimateExpressionOpts(node, fams, 0.1, true, core.EstimateOptions{})
+	q := mustQuery(t, "a | b")
+	want, err := q.Estimate(fams, 0.1, true, core.EstimateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

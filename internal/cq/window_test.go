@@ -249,7 +249,7 @@ func TestWindowEstimateMatchesReference(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	node, q := mustQuery(t, spec.Expr)
+	q := mustQuery(t, spec.Expr)
 	start := time.Unix(1_700_000_000, 0)
 	r := NewRing(spec, start, testNewFam)
 	var ups []timedUpdate
@@ -277,7 +277,7 @@ func TestWindowEstimateMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.EstimateExpressionOpts(node, ref, 0.1, true, opts)
+	want, err := q.Estimate(ref, 0.1, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

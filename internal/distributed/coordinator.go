@@ -104,14 +104,11 @@ type Coordinator struct {
 	nextID int
 }
 
-// compiledExpr is one parse+compile result: the parsed node always,
-// plus the compiled kernel query when the expression fits the packed
-// occupancy word (≤ 64 distinct streams; q is nil otherwise and the
-// interpreted path serves it).
+// compiledExpr is one parse+compile result: the source text and its
+// compiled kernel query.
 type compiledExpr struct {
-	src  string
-	node expr.Node
-	q    *core.Query
+	src string
+	q   *core.Query
 	// locks is the ascending, deduplicated list of shard indexes
 	// owning the expression's referenced streams: the estimate path
 	// RLocks exactly these, so reads are consistent against
@@ -488,13 +485,9 @@ func (c *Coordinator) compiled(expression string) (compiledExpr, error) {
 	if err != nil {
 		return compiledExpr{}, err
 	}
-	ce = compiledExpr{src: expression, node: node}
-	// CompileQuery fails only for > 64 distinct streams; such
-	// expressions run interpreted (q stays nil).
-	if q, err := core.CompileQuery(node); err == nil {
-		ce.q = q
+	if ce, err = c.compile(expression, node); err != nil {
+		return compiledExpr{}, err
 	}
-	ce.locks = c.shardLockSet(expr.Streams(node))
 	c.cmu.Lock()
 	if len(c.compileCache) >= compileCacheMax {
 		for k := range c.compileCache {
@@ -505,6 +498,16 @@ func (c *Coordinator) compiled(expression string) (compiledExpr, error) {
 	c.compileCache[expression] = ce
 	c.cmu.Unlock()
 	return ce, nil
+}
+
+// compile compiles a parsed expression and resolves the shard locks
+// its estimates take.
+func (c *Coordinator) compile(src string, node expr.Node) (compiledExpr, error) {
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return compiledExpr{}, err
+	}
+	return compiledExpr{src: src, q: q, locks: c.shardLockSet(expr.Streams(node))}, nil
 }
 
 // estimateCompiled runs one estimate through the query kernel,
@@ -521,14 +524,7 @@ func (c *Coordinator) estimateCompiled(ce compiledExpr, eps float64) (core.Estim
 	for _, si := range ce.locks {
 		c.shards[si].mu.RLock()
 	}
-	fams := *c.read.Load()
-	var est core.Estimate
-	var err error
-	if ce.q != nil {
-		est, err = ce.q.Estimate(fams, eps, true, c.estOpts)
-	} else {
-		est, err = core.EstimateExpressionOpts(ce.node, fams, eps, true, c.estOpts)
-	}
+	est, err := ce.q.Estimate(*c.read.Load(), eps, true, c.estOpts)
 	for _, si := range ce.locks {
 		c.shards[si].mu.RUnlock()
 	}

@@ -149,11 +149,10 @@ func (c *Coordinator) Watch(spec WatchSpec) (*Watcher, error) {
 		if err != nil {
 			return nil, fmt.Errorf("distributed: watch expression %q: %w", e, err)
 		}
-		ce := compiledExpr{src: e, node: node}
-		if q, err := core.CompileQuery(node); err == nil {
-			ce.q = q
+		ce, err := c.compile(e, node)
+		if err != nil {
+			return nil, fmt.Errorf("distributed: watch expression %q: %w", e, err)
 		}
-		ce.locks = c.shardLockSet(expr.Streams(node))
 		queries = append(queries, ce)
 		for _, name := range expr.Streams(node) {
 			streamSet[name] = struct{}{}

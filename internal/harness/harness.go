@@ -127,6 +127,10 @@ func (s *Sweep) trial(node expr.Node, target int, runSeed uint64) ([]float64, []
 		}
 	}
 
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return nil, nil, err
+	}
 	errs := make([]float64, len(s.SketchCounts))
 	failed := make([]bool, len(s.SketchCounts))
 	for i, r := range s.SketchCounts {
@@ -138,11 +142,7 @@ func (s *Sweep) trial(node expr.Node, target int, runSeed uint64) ([]float64, []
 			}
 			view[name] = tr
 		}
-		estimator := core.EstimateExpressionMultiLevel
-		if s.SingleLevel {
-			estimator = core.EstimateExpression
-		}
-		est, err := estimator(node, view, s.Eps)
+		est, err := q.Estimate(view, s.Eps, !s.SingleLevel, core.DefaultEstimateOptions())
 		switch {
 		case err == core.ErrNoObservations:
 			errs[i], failed[i] = 1, true

@@ -51,6 +51,12 @@ go test -race -count=2 -run 'Compiled|Kernel|Parallel|View|Version' ./internal/c
 # keeps that invariant honest as mutators are added.
 echo "== go test -run=NONE -fuzz=FuzzQueryViewMaintained -fuzztime=10s ./internal/core"
 go test -run=NONE -fuzz=FuzzQueryViewMaintained -fuzztime=10s ./internal/core
+# The query kernel is the only estimator; ten seconds of live fuzzing
+# against the interpreted reference (random small families with
+# deletions, random expressions, one 65-stream shape) keeps every
+# estimate bit-identical to it.
+echo "== go test -run=NONE -fuzz=FuzzEstimateMatchesReference -fuzztime=10s ./internal/core"
+go test -run=NONE -fuzz=FuzzEstimateMatchesReference -fuzztime=10s ./internal/core
 # Counters store one side of each second-level pair and derive the
 # other from the bucket total: the replay loops walk set digest bits
 # against a two-sided reference, and the decoders reject pairs that do

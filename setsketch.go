@@ -257,16 +257,7 @@ func (p *Processor) Streams() []string {
 // copy produced a witness observation (raise Copies, or accept that
 // |E| is too small relative to the union to resolve in this space).
 func (p *Processor) Estimate(expression string, eps float64) (Estimate, error) {
-	node, err := expr.Parse(expression)
-	if err != nil {
-		return Estimate{}, err
-	}
-	// Exclusive lock: estimation reads every stream's counters and must
-	// not observe updates mid-flight (updates hold mu.RLock).
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	est, err := core.EstimateExpressionOpts(node, p.fams, eps, true, p.estOpts)
-	return fromCore(est), err
+	return p.estimate(expression, eps, true)
 }
 
 // EstimateSingleLevel is Estimate using the single-level witness scheme
@@ -276,13 +267,25 @@ func (p *Processor) Estimate(expression string, eps float64) (Estimate, error) {
 // same expectation but roughly 15× the valid observations per sketch —
 // see EXPERIMENTS.md. This variant exists for fidelity comparisons.
 func (p *Processor) EstimateSingleLevel(expression string, eps float64) (Estimate, error) {
+	return p.estimate(expression, eps, false)
+}
+
+// estimate parses and compiles the expression and runs the query
+// kernel over the processor's families.
+func (p *Processor) estimate(expression string, eps float64, multiLevel bool) (Estimate, error) {
 	node, err := expr.Parse(expression)
 	if err != nil {
 		return Estimate{}, err
 	}
+	q, err := core.CompileQuery(node)
+	if err != nil {
+		return Estimate{}, err
+	}
+	// Exclusive lock: estimation reads every stream's counters and must
+	// not observe updates mid-flight (updates hold mu.RLock).
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	est, err := core.EstimateExpressionOpts(node, p.fams, eps, false, p.estOpts)
+	est, err := q.Estimate(p.fams, eps, multiLevel, p.estOpts)
 	return fromCore(est), err
 }
 
@@ -302,7 +305,7 @@ func (p *Processor) EstimateUnion(streams []string, eps float64) (Estimate, erro
 		}
 		fams = append(fams, f)
 	}
-	est, err := core.EstimateUnionMulti(fams, eps)
+	est, err := core.EstimateUnion(fams, eps, false)
 	return fromCore(est), err
 }
 
