@@ -59,7 +59,7 @@ func benchFigure(b *testing.B, exprStr string, ratio int, multiLevel bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.DefaultEstimateOptions()
+	opts := core.EstimateOptions{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.Estimate(fams, 0.1, multiLevel, opts); err != nil && err != core.ErrNoObservations {
@@ -141,7 +141,7 @@ func BenchmarkProcessorUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkFamilyMerge measures coordinator-side merging of one pushed
+// BenchmarkFamilyMerge measures coordinator-side merging of one shipped
 // 128-copy synopsis (the distributed model's hot operation).
 func BenchmarkFamilyMerge(b *testing.B) {
 	mk := func() *core.Family {
@@ -265,7 +265,7 @@ func BenchmarkBitVsCounterEstimate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.EstimateBits(bfams, 0.1, true, core.DefaultEstimateOptions()); err != nil {
+		if _, err := q.EstimateBits(bfams, 0.1, true, core.EstimateOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,26 +294,5 @@ func BenchmarkMIPsInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Insert(uint64(i))
-	}
-}
-
-// BenchmarkSingletonChecks measures the elementary property checks of
-// §3.2 (they dominate estimate-time cost).
-func BenchmarkSingletonChecks(b *testing.B) {
-	x, err := core.NewSketch(benchCfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := core.NewSketch(benchCfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for e := uint64(0); e < 1024; e++ {
-		x.Insert(e)
-		y.Insert(e + 512)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SingletonUnionBucket(x, y, i%benchCfg.Buckets)
 	}
 }

@@ -377,7 +377,7 @@ func (r *runner) baselines(start time.Time) error {
 			}
 		}
 
-		sketchEst, err := q.Estimate(fams, r.eps, true, core.DefaultEstimateOptions())
+		sketchEst, err := q.Estimate(fams, r.eps, true, core.EstimateOptions{})
 		if err != nil {
 			return err
 		}
@@ -563,7 +563,7 @@ func (r *runner) skew(start time.Time) error {
 			for i, e := range b {
 				fams["B"].Update(e, mult[i%len(mult)])
 			}
-			est, err := q.Estimate(fams, r.eps, true, core.DefaultEstimateOptions())
+			est, err := q.Estimate(fams, r.eps, true, core.EstimateOptions{})
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,8 @@
 // Command sketchd runs the distributed pieces of the paper's Figure 1
 // architecture over TCP: a coordinator daemon that merges synopses and
-// answers set-expression queries, site modes that summarize local
-// update streams and ship them (one-shot or live), and query modes
-// (point-in-time or standing).
+// answers set-expression queries, a site mode that ships local update
+// streams through a session, and query modes (point-in-time or
+// standing).
 //
 //	sketchd serve  -listen :7070 [-admin :7071] [-log-level info] \
 //	               [-idle-timeout 0] [-copies 512] [-s 32] [-seed 1] \
@@ -11,7 +11,6 @@
 //	               [-cq-max-groups 4096] [-cq-group-sep :] \
 //	               [-cq-rotate-interval 1s] [-shards 0] [-digest-cache 0] \
 //	               [-mutex-profile-fraction 0] [-block-profile-rate 0]
-//	sketchd push   -addr host:7070 -site edge1 -in updates.txt [...coins]
 //	sketchd stream -addr host:7070 -site edge1 -in updates.txt \
 //	               [-mode sketch|forward] [-workers N] [-flush-updates 10000] \
 //	               [-wal-dir dir] [-fsync always] [-segment-size N] \
@@ -23,14 +22,13 @@
 //	sketchd streams -addr host:7070
 //	sketchd inspect wal -dir /var/lib/sketchd/wal
 //
-// push summarizes a whole file and ships the synopses once. stream
-// keeps a session open and ships continuously: in sketch mode it runs
-// the sharded ingest engine locally and flushes synopsis deltas
-// (merged by linearity at the coordinator); in forward mode it relays
-// raw update batches for the coordinator to sketch. watch registers
-// standing continuous queries — ad-hoc expressions and/or continuous
-// views — and prints each re-evaluation as the coordinator streams it
-// back. views manages the coordinator's continuous-view catalog
+// stream keeps a session open and ships continuously: in sketch mode
+// it runs the sharded ingest engine locally and flushes synopsis
+// deltas (merged by linearity at the coordinator); in forward mode it
+// relays raw update batches for the coordinator to sketch. watch
+// registers standing continuous queries — ad-hoc expressions and/or
+// continuous views — and prints each re-evaluation as the coordinator
+// streams it back. views manages the coordinator's continuous-view catalog
 // (CREATE VIEW statements with windows, groups, and emit modes — see
 // QUERIES.md for the language).
 //
@@ -81,8 +79,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = runServe(os.Args[2:])
-	case "push":
-		err = runPush(os.Args[2:])
 	case "stream":
 		err = runStream(os.Args[2:])
 	case "query":
@@ -105,7 +101,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sketchd {serve|push|stream|query|watch|views|streams|inspect} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: sketchd {serve|stream|query|watch|views|streams|inspect} [flags]")
 	os.Exit(2)
 }
 
@@ -162,7 +158,6 @@ type daemonConfig struct {
 	AdminAddr   string // "" disables the admin endpoint
 	Coins       distributed.Coins
 	IdleTimeout time.Duration
-	EstWorkers  int // witness-scan workers (0 = one per CPU, negative = serial)
 	Log         *obs.Logger
 
 	// WALDir enables durability: recovery on start (snapshot + WAL
@@ -240,13 +235,6 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 	// After SetObservability: the cache binds the coord_digest_cache_*
 	// counters at creation.
 	coord.SetDigestCache(cfg.DigestCache)
-	if cfg.EstWorkers != 0 {
-		n := cfg.EstWorkers
-		if n < 0 {
-			n = 0 // serial
-		}
-		coord.SetEstimateOptions(core.EstimateOptions{Workers: n})
-	}
 	d := &daemon{Coord: coord, Reg: reg, l: l, done: make(chan error, 1), log: cfg.Log}
 	if cfg.WALDir != "" {
 		policy, ival, err := wal.ParseSyncPolicy(cfg.Fsync)
@@ -345,7 +333,7 @@ func runServe(args []string) error {
 	listen := fs.String("listen", ":7070", "address to listen on")
 	admin := fs.String("admin", "", "admin endpoint address for /metrics, /healthz, /debug/pprof (disabled if empty)")
 	idle := fs.Duration("idle-timeout", 0, "tear down sessions idle longer than this (0 disables)")
-	estWorkers := fs.Int("estimate-workers", 0, "witness-scan workers per estimate (0 = one per CPU, negative = serial)")
+	estWorkers := fs.Int("estimate-workers", 0, "accepted for compatibility: estimates always scan serially, so only values <= 1 are valid")
 	walDir := fs.String("wal-dir", "", "write-ahead-log directory; enables durability and crash recovery (disabled if empty)")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always, never, or an interval like 100ms")
 	segSize := fs.Int64("segment-size", 16<<20, "rotate WAL segments at this many bytes")
@@ -361,6 +349,9 @@ func runServe(args []string) error {
 	coins := coinFlags(fs)
 	fs.Parse(args)
 
+	if *estWorkers > 1 {
+		return fmt.Errorf("serve: -estimate-workers %d: estimates scan serially; only values <= 1 are accepted", *estWorkers)
+	}
 	log, err := mkLog()
 	if err != nil {
 		return err
@@ -370,7 +361,6 @@ func runServe(args []string) error {
 		AdminAddr:            *admin,
 		Coins:                coins(),
 		IdleTimeout:          *idle,
-		EstWorkers:           *estWorkers,
 		Log:                  log,
 		WALDir:               *walDir,
 		Fsync:                *fsync,
@@ -400,39 +390,6 @@ func runServe(args []string) error {
 			"endpoints", "/metrics /healthz /debug/pprof/")
 	}
 	return d.Wait()
-}
-
-func runPush(args []string) error {
-	fs := flag.NewFlagSet("push", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:7070", "coordinator address")
-	siteName := fs.String("site", "site", "site name (diagnostics)")
-	in := fs.String("in", "-", "update-stream file (- for stdin)")
-	coins := coinFlags(fs)
-	fs.Parse(args)
-
-	site, err := distributed.NewSite(*siteName, coins())
-	if err != nil {
-		return err
-	}
-	// Summarize incrementally: the update file never has to fit in
-	// memory, only the synopses do.
-	n, err := scanUpdateFile(*in, func(u datagen.Update) error {
-		return site.Update(u.Stream, u.Elem, u.Delta)
-	})
-	if err != nil {
-		return err
-	}
-	cli, err := distributed.Dial(*addr)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	if err := cli.PushSnapshot(*siteName, site.Snapshot()); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sketchd: pushed %d streams (%d updates) from site %q\n",
-		len(site.Streams()), n, *siteName)
-	return nil
 }
 
 // scanUpdateFile streams the updates of a file (stdin for "-") through

@@ -1,18 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"setsketch/internal/core"
+	"setsketch/internal/datagen"
 	"setsketch/internal/distributed"
 )
 
 // startCoordinator runs an in-process coordinator server matching the
-// default coin flags with small copies for speed.
-func startCoordinator(t *testing.T, coins distributed.Coins) (addr string, stop func()) {
+// default coin flags with small copies for speed, and returns the
+// coordinator so a test can read its merged families.
+func startCoordinator(t *testing.T, coins distributed.Coins) (*distributed.Coordinator, string, func()) {
 	t.Helper()
 	coord, err := distributed.NewCoordinator(coins)
 	if err != nil {
@@ -25,7 +30,7 @@ func startCoordinator(t *testing.T, coins distributed.Coins) (addr string, stop 
 	srv := distributed.NewServer(coord)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
-	return l.Addr().String(), func() {
+	return coord, l.Addr().String(), func() {
 		srv.Close()
 		<-done
 	}
@@ -45,6 +50,9 @@ func writeUpdates(t *testing.T) string {
 		content += "A " + itoa(e) + " 1\n"
 		if e >= 100 {
 			content += "B " + itoa(e) + " 1\n"
+		}
+		if e%10 == 0 {
+			content += "A " + itoa(e) + " -1\n"
 		}
 	}
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -72,14 +80,49 @@ func coinArgs() []string {
 	return []string{"-copies", "64", "-s", "8", "-wise", "8", "-seed", "1"}
 }
 
-func TestPushQueryStreamsEndToEnd(t *testing.T) {
-	addr, stop := startCoordinator(t, testCoins())
-	defer stop()
-	stream := writeUpdates(t)
-
-	args := append([]string{"-addr", addr, "-site", "edge1", "-in", stream}, coinArgs()...)
-	if err := runPush(args); err != nil {
+// buildInProcess sketches an update file serially into one family per
+// stream: the reference both session modes must land on.
+func buildInProcess(t *testing.T, coins distributed.Coins, path string) map[string]*core.Family {
+	t.Helper()
+	fams := map[string]*core.Family{}
+	_, err := scanUpdateFile(path, func(u datagen.Update) error {
+		f, ok := fams[u.Stream]
+		if !ok {
+			var err error
+			if f, err = coins.NewFamily(); err != nil {
+				return err
+			}
+			fams[u.Stream] = f
+		}
+		f.Update(u.Elem, u.Delta)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	return fams
+}
+
+// TestPushQueryStreamsEndToEnd: a site that ships its whole synopsis in
+// one go (sketch mode with the default flush threshold above the file
+// size, so only the closing flush sends) lands the in-process build,
+// and the query and streams commands answer over it.
+func TestPushQueryStreamsEndToEnd(t *testing.T) {
+	stream := writeUpdates(t)
+	want := buildInProcess(t, testCoins(), stream)
+	coord, addr, stop := startCoordinator(t, testCoins())
+	defer stop()
+
+	args := append([]string{"-addr", addr, "-site", "edge1", "-in", stream,
+		"-workers", "1", "-log-level", "warn"}, coinArgs()...)
+	if err := runStream(args); err != nil {
+		t.Fatal(err)
+	}
+	for name, fam := range want {
+		got := coord.Family(name)
+		if got == nil || !bytes.Equal(got.AppendTo(nil), fam.AppendTo(nil)) {
+			t.Errorf("stream %s differs from the in-process build", name)
+		}
 	}
 	if err := runQuery([]string{"-addr", addr, "-expr", "A & B", "-eps", "0.3"}); err != nil {
 		t.Fatal(err)
@@ -89,27 +132,42 @@ func TestPushQueryStreamsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamEndToEnd: both streaming modes land the same synopses a
-// one-shot push would, so queries answer identically afterwards.
+// TestStreamEndToEnd: sketch mode (local ingest, several delta
+// flushes) and forward mode (raw batches) land families byte-identical
+// to an in-process build of the same file, and the query and streams
+// commands answer over the result.
 func TestStreamEndToEnd(t *testing.T) {
 	stream := writeUpdates(t)
+	want := buildInProcess(t, testCoins(), stream)
 	for _, mode := range []string{"sketch", "forward"} {
-		addr, stop := startCoordinator(t, testCoins())
+		coord, addr, stop := startCoordinator(t, testCoins())
 		args := append([]string{"-addr", addr, "-site", "edge1", "-in", stream,
 			"-mode", mode, "-workers", "2", "-batch", "50", "-flush-updates", "120",
 			"-admin", "127.0.0.1:0", "-log-level", "warn"}, coinArgs()...)
 		if err := runStream(args); err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
+		if got := strings.Join(coord.Streams(), ","); got != "A,B" {
+			t.Errorf("mode %s: streams %s, want A,B", mode, got)
+		}
+		for name, fam := range want {
+			got := coord.Family(name)
+			if got == nil || !bytes.Equal(got.AppendTo(nil), fam.AppendTo(nil)) {
+				t.Errorf("mode %s: stream %s differs from the in-process build", mode, name)
+			}
+		}
 		if err := runQuery([]string{"-addr", addr, "-expr", "A & B", "-eps", "0.3"}); err != nil {
 			t.Fatalf("mode %s query: %v", mode, err)
+		}
+		if err := runStreams([]string{"-addr", addr}); err != nil {
+			t.Fatalf("mode %s streams: %v", mode, err)
 		}
 		stop()
 	}
 }
 
 func TestStreamErrors(t *testing.T) {
-	addr, stop := startCoordinator(t, testCoins())
+	_, addr, stop := startCoordinator(t, testCoins())
 	defer stop()
 	stream := writeUpdates(t)
 	// Unknown mode.
@@ -129,20 +187,8 @@ func TestStreamErrors(t *testing.T) {
 	}
 }
 
-func TestPushWrongCoinsRejected(t *testing.T) {
-	addr, stop := startCoordinator(t, testCoins())
-	defer stop()
-	stream := writeUpdates(t)
-	// Different seed: the coordinator must reject the push.
-	args := []string{"-addr", addr, "-site", "edge1", "-in", stream,
-		"-copies", "64", "-s", "8", "-wise", "8", "-seed", "42"}
-	if err := runPush(args); err == nil {
-		t.Fatal("push with mismatched coins succeeded")
-	}
-}
-
 func TestQueryErrors(t *testing.T) {
-	addr, stop := startCoordinator(t, testCoins())
+	_, addr, stop := startCoordinator(t, testCoins())
 	defer stop()
 	if err := runQuery([]string{"-addr", addr}); err == nil {
 		t.Error("query without -expr succeeded")
@@ -153,7 +199,8 @@ func TestQueryErrors(t *testing.T) {
 	if err := runQuery([]string{"-addr", "127.0.0.1:1", "-expr", "A"}); err == nil {
 		t.Error("query against dead coordinator succeeded")
 	}
-	if err := runPush([]string{"-addr", addr, "-in", "/nonexistent"}); err == nil {
-		t.Error("push of missing file succeeded")
+	args := append([]string{"-addr", addr, "-in", "/nonexistent"}, coinArgs()...)
+	if err := runStream(args); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("stream of missing file: err = %v, want not-exist", err)
 	}
 }

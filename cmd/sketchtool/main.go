@@ -247,7 +247,7 @@ func runEstimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	est, err := q.Estimate(fams, *eps, !*single, core.DefaultEstimateOptions())
+	est, err := q.Estimate(fams, *eps, !*single, core.EstimateOptions{})
 	if err != nil {
 		return err
 	}

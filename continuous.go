@@ -130,7 +130,7 @@ func (p *Processor) notifyContinuous(stream string) {
 		// Exclusive lock, like Estimate: a consistent read of every
 		// counter even while other goroutines keep updating.
 		p.mu.Lock()
-		est, err := q.q.Estimate(p.fams, q.eps, true, p.estOpts)
+		est, err := q.q.Estimate(p.fams, q.eps, true, core.EstimateOptions{})
 		p.mu.Unlock()
 		q.fn(fromCore(est), err)
 	}

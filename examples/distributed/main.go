@@ -1,9 +1,10 @@
 // Distributed collection (paper Fig. 1 and the stored-coins model):
 // four edge sites each observe part of three update streams, summarize
 // locally into 2-level hash sketches built from shared coins, and ship
-// the synopses over TCP to a coordinator, which merges them — by
-// sketch linearity, into exactly the synopses a single global observer
-// would hold — and answers set-expression queries.
+// periodic synopsis deltas over a TCP session to a coordinator, which
+// merges them — by sketch linearity, into exactly the synopses a
+// single global observer would hold — and answers set-expression
+// queries.
 //
 // Everything runs in one process over a loopback listener, but the
 // site and coordinator halves communicate only through the wire
@@ -21,7 +22,12 @@ import (
 
 	"setsketch/internal/core"
 	"setsketch/internal/distributed"
+	"setsketch/internal/ingest"
 )
+
+// flushEvery is how many elements a site observes between delta
+// flushes. Any value gives the same merged synopses.
+const flushEvery = 2500
 
 func main() {
 	// Shared stored coins: every party derives identical hash functions
@@ -46,41 +52,22 @@ func main() {
 	var truthMu sync.Mutex
 	truth := map[string]map[uint64]bool{"A": {}, "B": {}, "C": {}}
 
-	// Four sites, each seeing a shard of the traffic, pushing over TCP.
+	observe := func(stream string, e uint64) {
+		truthMu.Lock()
+		truth[stream][e] = true
+		truthMu.Unlock()
+	}
+
+	// Four sites, each seeing a shard of the traffic, shipping over TCP.
 	var wg sync.WaitGroup
 	for siteID := 0; siteID < 4; siteID++ {
 		wg.Add(1)
 		go func(siteID int) {
 			defer wg.Done()
 			name := fmt.Sprintf("edge-%d", siteID)
-			site, err := distributed.NewSite(name, coins)
-			if err != nil {
-				log.Fatal(err)
+			if err := runSite(name, l.Addr().String(), coins, int64(siteID)+10, observe); err != nil {
+				log.Fatalf("%s: %v", name, err)
 			}
-			rng := rand.New(rand.NewSource(int64(siteID) + 10))
-			for i := 0; i < 10000; i++ {
-				e := uint64(rng.Int63n(1 << 18))
-				// Element placement is a global property (element mod
-				// cases), so shards agree on stream membership.
-				streams := placement(e)
-				for _, s := range streams {
-					if err := site.Insert(s, e); err != nil {
-						log.Fatal(err)
-					}
-					truthMu.Lock()
-					truth[s][e] = true
-					truthMu.Unlock()
-				}
-			}
-			cli, err := distributed.Dial(l.Addr().String())
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer cli.Close()
-			if err := cli.PushSnapshot(name, site.Snapshot()); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%s: pushed synopses for streams %v\n", name, site.Streams())
 		}(siteID)
 	}
 	wg.Wait()
@@ -112,6 +99,53 @@ func main() {
 	if err := <-serveDone; err != nil {
 		log.Fatal(err)
 	}
+}
+
+// runSite is one edge site: it sketches its share of the traffic with a
+// local ingest engine and ships the engine's flush over its session
+// every flushEvery elements, each flush counted by the updates it
+// summarizes.
+func runSite(name, addr string, coins distributed.Coins, seed int64, observe func(stream string, e uint64)) error {
+	eng, err := ingest.New(coins.Config, coins.Seed, coins.Copies, ingest.Options{})
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	cli, err := distributed.Dial(addr)
+	if err != nil {
+		return err
+	}
+	defer cli.Close()
+	sess, err := cli.OpenStream(name, coins)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var unshipped uint64
+	for i := 0; i < 10000; i++ {
+		e := uint64(rng.Int63n(1 << 18))
+		// Element placement is a global property (element mod cases),
+		// so shards agree on stream membership.
+		for _, s := range placement(e) {
+			if err := eng.Update(s, e, 1); err != nil {
+				return err
+			}
+			observe(s, e)
+			unshipped++
+		}
+		if (i+1)%flushEvery == 0 {
+			if err := sess.SendFlush(eng.Flush(), unshipped); err != nil {
+				return err
+			}
+			unshipped = 0
+		}
+	}
+	accepted, err := sess.Heartbeat()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s: shipped %d updates in %d flushes\n", name, accepted, 10000/flushEvery)
+	return nil
 }
 
 // placement assigns an element to streams by global rule: ~30% in A∩B,

@@ -139,7 +139,7 @@ func (p *InsertOnlyProcessor) Estimate(expression string, eps float64) (Estimate
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	est, err := q.EstimateBits(p.fams, eps, true, core.DefaultEstimateOptions())
+	est, err := q.EstimateBits(p.fams, eps, true, core.EstimateOptions{})
 	return fromCore(est), err
 }
 

@@ -278,12 +278,10 @@ func FuzzEstimateMatchesReference(f *testing.F) {
 		}
 		for _, multi := range []bool{false, true} {
 			want, wantErr := referenceEstimate(e, fams, eps, multi)
-			for _, workers := range []int{0, 3} {
-				got, err := q.Estimate(fams, eps, multi, EstimateOptions{Workers: workers})
-				if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
-					t.Fatalf("%s multi=%v workers=%d: kernel %+v (%v), reference %+v (%v)",
-						e, multi, workers, got, err, want, wantErr)
-				}
+			got, err := q.Estimate(fams, eps, multi, EstimateOptions{})
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
+				t.Fatalf("%s multi=%v: kernel %+v (%v), reference %+v (%v)",
+					e, multi, got, err, want, wantErr)
 			}
 		}
 		got, err := EstimateUnion(ordered, eps, false)

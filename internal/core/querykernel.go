@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"setsketch/internal/expr"
 )
@@ -22,27 +20,15 @@ import (
 //  2. familyView (queryview.go) caches packed per-copy occupancy and
 //     cell-signature bitmaps behind each family's version counter, so
 //     "bucket occupied" and "union bucket singleton" are word tests.
-//  3. Both passes partition the r independent sketch copies across a
-//     bounded worker pool; per-worker integer tallies merge
-//     associatively, so the result is bit-identical to the serial scan
-//     (pinned against the interpreted counter-scanning reference in
-//     the tests).
+//  3. Both passes walk the r independent sketch copies once, serially
+//     on the calling goroutine, keeping integer tallies; the result is
+//     pinned bit-identical to the interpreted counter-scanning
+//     reference in the tests.
 
-// EstimateOptions tunes the query kernel. The zero value (Workers 0)
-// runs serially; DefaultEstimateOptions parallelizes across
-// GOMAXPROCS workers.
-type EstimateOptions struct {
-	// Workers is the witness-scan worker-pool size. 0 or 1 scans
-	// serially on the calling goroutine; n > 1 partitions the r sketch
-	// copies across min(n, r) goroutines. Results are bit-identical
-	// either way.
-	Workers int
-}
-
-// DefaultEstimateOptions returns one worker per available CPU.
-func DefaultEstimateOptions() EstimateOptions {
-	return EstimateOptions{Workers: runtime.GOMAXPROCS(0)}
-}
+// EstimateOptions is an empty placeholder kept so existing callers
+// compile: the kernel has no tuning left, since a parallel witness
+// scan measured slower than the serial one at r = 128 on two cores.
+type EstimateOptions struct{}
 
 // Query is a compiled set-expression query: the parsed node plus its
 // compiled occupancy-word program and sorted stream binding. A Query
@@ -94,8 +80,8 @@ func CompileQuery(e expr.Node) (*Query, error) {
 // this is the variant that reproduces the paper's experimental error
 // levels (§5.2, EXPERIMENTS.md).
 //
-// The serial path (opts.Workers ≤ 1) allocates nothing for queries
-// over at most 64 streams once the family views are warm.
+// It allocates nothing for queries over at most 64 streams once the
+// family views are warm.
 func (q *Query) Estimate(fams map[string]*Family, eps float64, multiLevel bool, opts EstimateOptions) (Estimate, error) {
 	return estimateQuery(q, fams, eps, multiLevel, opts)
 }
@@ -149,7 +135,7 @@ func estimateQuery[F synopsis[F]](q *Query, fams map[string]F, eps float64, mult
 	if err != nil {
 		return Estimate{}, err
 	}
-	return estimate(q, cfg, r, views, eps, multiLevel, opts.Workers)
+	return estimate(q, cfg, r, views, eps, multiLevel)
 }
 
 func estimateUnion[F synopsis[F]](fams []F, eps float64, multiLevel bool) (Estimate, error) {
@@ -161,7 +147,7 @@ func estimateUnion[F synopsis[F]](fams []F, eps float64, multiLevel bool) (Estim
 	if err != nil {
 		return Estimate{}, err
 	}
-	return estimate(nil, cfg, r, views, eps, multiLevel, 0)
+	return estimate(nil, cfg, r, views, eps, multiLevel)
 }
 
 // bindViews checks that fams are mutually aligned and loads their
@@ -183,33 +169,17 @@ func bindViews[F synopsis[F]](fams []F, views []*familyView) (Config, int, error
 // estimate is the one estimator body behind all four entry points: a
 // union occupancy pass feeding the (Fig. 5 or ML) û estimate, then —
 // for an expression query, q non-nil — the witness scan at the chosen
-// level range. Both passes partition copies across workers when
-// workers > 1; partial tallies are integers and merge associatively,
-// so results are bit-identical regardless of worker count.
-func estimate(q *Query, cfg Config, r int, views []*familyView, eps float64, multiLevel bool, workers int) (Estimate, error) {
+// level range.
+func estimate(q *Query, cfg Config, r int, views []*familyView, eps float64, multiLevel bool) (Estimate, error) {
 	if eps <= 0 || eps >= 1 {
 		return Estimate{}, fmt.Errorf("core: relative accuracy ε = %v out of (0, 1)", eps)
 	}
 	if r < 1 {
 		return Estimate{}, errors.New("core: family has no copies")
 	}
-	workers = min(workers, r)
 
 	var counts [64]int
-	if workers > 1 {
-		vs := append([]*familyView(nil), views...) // heap copy for the goroutines
-		partial := make([][64]int, workers)
-		forEachRange(workers, r, func(t, lo, hi int) {
-			countUnionOccupancy(vs, lo, hi, &partial[t])
-		})
-		for t := range partial {
-			for j, c := range partial[t] {
-				counts[j] += c
-			}
-		}
-	} else {
-		countUnionOccupancy(views, 0, r, &counts)
-	}
+	countUnionOccupancy(views, r, &counts)
 
 	var u Estimate
 	var err error
@@ -234,43 +204,16 @@ func estimate(q *Query, cfg Config, r int, views []*familyView, eps float64, mul
 		lvlLo, lvlHi = 0, cfg.Buckets-1
 	}
 
-	if workers > 1 {
-		vs := append([]*familyView(nil), views...)
-		valid := make([]int, workers)
-		witness := make([]int, workers)
-		forEachRange(workers, r, func(t, lo, hi int) {
-			valid[t], witness[t] = q.scanWitnesses(vs, cfg.Buckets, lo, hi, lvlLo, lvlHi)
-		})
-		for t := 0; t < workers; t++ {
-			est.Valid += valid[t]
-			est.Witnesses += witness[t]
-		}
-	} else {
-		est.Valid, est.Witnesses = q.scanWitnesses(views, cfg.Buckets, 0, r, lvlLo, lvlHi)
-	}
+	est.Valid, est.Witnesses = q.scanWitnesses(views, cfg.Buckets, r, lvlLo, lvlHi)
 	err = finishWitnessEstimate(&est, u, uint64(r)*uint64(lvlHi-lvlLo+1))
 	return est, err
 }
 
-// forEachRange splits [0, r) into `workers` near-equal chunks and runs
-// fn(worker, lo, hi) concurrently, waiting for all.
-func forEachRange(workers, r int, fn func(t, lo, hi int)) {
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for t := 0; t < workers; t++ {
-		go func(t int) {
-			defer wg.Done()
-			fn(t, t*r/workers, (t+1)*r/workers)
-		}(t)
-	}
-	wg.Wait()
-}
-
-// countUnionOccupancy tallies, per level, the copies in [lo, hi) whose
+// countUnionOccupancy tallies, per level, the copies in [0, r) whose
 // union first-level bucket is non-empty: one OR across streams per
 // copy, then an iteration over the set bits.
-func countUnionOccupancy(views []*familyView, lo, hi int, counts *[64]int) {
-	for i := lo; i < hi; i++ {
+func countUnionOccupancy(views []*familyView, r int, counts *[64]int) {
+	for i := 0; i < r; i++ {
 		var w uint64
 		for _, v := range views {
 			w |= v.occ[i]
@@ -282,19 +225,19 @@ func countUnionOccupancy(views []*familyView, lo, hi int, counts *[64]int) {
 	}
 }
 
-// scanWitnesses runs the witness scan over copies [lo, hi) and levels
+// scanWitnesses runs the witness scan over copies [0, r) and levels
 // [lvlLo, lvlHi]: for each candidate whose union bucket is occupied and
 // passes the packed singleton test, it evaluates B(E) on the
 // per-stream occupancy flags — as one packed word through the compiled
 // program, or through a flag map for queries too wide to compile.
-func (q *Query) scanWitnesses(views []*familyView, buckets, lo, hi, lvlLo, lvlHi int) (valid, witness int) {
+func (q *Query) scanWitnesses(views []*familyView, buckets, r, lvlLo, lvlHi int) (valid, witness int) {
 	wps := views[0].wps
 	prog := q.prog
 	var flags map[string]bool
 	if prog == nil {
 		flags = make(map[string]bool, len(q.names))
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < r; i++ {
 		var union uint64
 		for _, v := range views {
 			union |= v.occ[i]

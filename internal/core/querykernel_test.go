@@ -53,9 +53,9 @@ func sameEstimate(t *testing.T, label string, got, want Estimate) {
 	}
 }
 
-// TestCompiledMatchesReference pins the compiled kernel (serial and
-// parallel) against the interpreted counter-scanning reference: same
-// expression, same synopses, bit-identical Estimate.
+// TestCompiledMatchesReference pins the compiled kernel against the
+// interpreted counter-scanning reference: same expression, same
+// synopses, bit-identical Estimate.
 func TestCompiledMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{3, 17} {
 		fams := buildKernelFamilies(t, estCfg, seed, 96)
@@ -64,14 +64,11 @@ func TestCompiledMatchesReference(t *testing.T) {
 			q := mustCompile(t, node)
 			for _, multi := range []bool{false, true} {
 				ref, refErr := referenceEstimate(node, fams, 0.15, multi)
-				for _, workers := range []int{0, 1, 3, 8, 96, 200} {
-					got, err := q.Estimate(fams, 0.15, multi, EstimateOptions{Workers: workers})
-					if (err == nil) != (refErr == nil) {
-						t.Fatalf("%s seed=%d multi=%v workers=%d: err %v vs ref %v",
-							src, seed, multi, workers, err, refErr)
-					}
-					sameEstimate(t, fmt.Sprintf("%s seed=%d multi=%v workers=%d", src, seed, multi, workers), got, ref)
+				got, err := q.Estimate(fams, 0.15, multi, EstimateOptions{})
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("%s seed=%d multi=%v: err %v vs ref %v", src, seed, multi, err, refErr)
 				}
+				sameEstimate(t, fmt.Sprintf("%s seed=%d multi=%v", src, seed, multi), got, ref)
 			}
 		}
 	}
@@ -103,13 +100,11 @@ func TestCompiledMatchesReferenceBits(t *testing.T) {
 		q := mustCompile(t, node)
 		for _, multi := range []bool{false, true} {
 			ref, refErr := referenceEstimateBits(node, fams, 0.15, multi)
-			for _, workers := range []int{0, 4, r} {
-				got, err := q.EstimateBits(fams, 0.15, multi, EstimateOptions{Workers: workers})
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%s multi=%v workers=%d: err %v vs ref %v", src, multi, workers, err, refErr)
-				}
-				sameEstimate(t, fmt.Sprintf("bits %s multi=%v workers=%d", src, multi, workers), got, ref)
+			got, err := q.EstimateBits(fams, 0.15, multi, EstimateOptions{})
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s multi=%v: err %v vs ref %v", src, multi, err, refErr)
 			}
+			sameEstimate(t, fmt.Sprintf("bits %s multi=%v", src, multi), got, ref)
 		}
 	}
 }
@@ -120,7 +115,7 @@ func TestKernelErrorPaths(t *testing.T) {
 	fams := buildKernelFamilies(t, estCfg, 11, 16)
 	node := expr.MustParse("A - B")
 	q := mustCompile(t, node)
-	opts := DefaultEstimateOptions()
+	var opts EstimateOptions
 
 	for _, eps := range []float64{0, -0.5, 1, 1.5} {
 		if _, err := q.Estimate(fams, eps, true, opts); err == nil {
@@ -336,10 +331,9 @@ func TestToCountersKernelAgreement(t *testing.T) {
 	sameEstimate(t, "tocounters", got, want)
 }
 
-// TestParallelEstimateRace hammers one compiled query from many
-// goroutines at once: concurrent estimates share the cached view and
-// each fans out its own worker pool, all of which must be clean under
-// -race. (Families are not internally synchronized against writers —
+// TestParallelEstimateRace hammers one compiled query from four
+// goroutines at once: concurrent estimates share the cached view,
+// which must be clean under -race. (Families are not internally synchronized against writers —
 // the processor and coordinator lock around mutations — so this
 // exercises the concurrent-reader contract only.)
 func TestParallelEstimateRace(t *testing.T) {
@@ -354,9 +348,9 @@ func TestParallelEstimateRace(t *testing.T) {
 	}
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
-		go func(workers int) {
+		go func() {
 			for j := 0; j < 50; j++ {
-				got, err := q.Estimate(fams, 0.2, true, EstimateOptions{Workers: workers})
+				got, err := q.Estimate(fams, 0.2, true, EstimateOptions{})
 				if err != nil {
 					done <- err
 					return
@@ -367,7 +361,7 @@ func TestParallelEstimateRace(t *testing.T) {
 				}
 			}
 			done <- nil
-		}(g + 1)
+		}()
 	}
 	for g := 0; g < 4; g++ {
 		if err := <-done; err != nil {

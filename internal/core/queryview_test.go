@@ -120,7 +120,7 @@ func TestHotBatchPatchWork(t *testing.T) {
 
 // TestViewPatchConcurrentEstimates runs one writer applying hot
 // batches under a write lock beside four estimators under read locks —
-// the coordinator's lock contract. Every estimate must equal the serial
+// the coordinator's lock contract. Every estimate must equal the
 // estimate over fresh (cloned) families at the same Version(), so a
 // patch that leaks into a published view, or a mask cleared by the
 // wrong reader, shows as a wrong answer or a race report.
@@ -168,7 +168,7 @@ func TestViewPatchConcurrentEstimates(t *testing.T) {
 			}
 		}
 	}
-	serial := func(fams map[string]*Family) Estimate {
+	fromFresh := func(fams map[string]*Family) Estimate {
 		fresh := map[string]*Family{}
 		for name, f := range fams {
 			fresh[name] = f.Clone()
@@ -180,10 +180,10 @@ func TestViewPatchConcurrentEstimates(t *testing.T) {
 		return est
 	}
 	ref := buildKernelFamilies(t, estCfg, 37, r)
-	want := map[uint64]Estimate{ref["A"].Version(): serial(ref)}
+	want := map[uint64]Estimate{ref["A"].Version(): fromFresh(ref)}
 	for k := 0; k < batches; k++ {
 		apply(ref, k)
-		want[ref["A"].Version()] = serial(ref)
+		want[ref["A"].Version()] = fromFresh(ref)
 	}
 
 	fams := buildKernelFamilies(t, estCfg, 37, r)
@@ -194,7 +194,7 @@ func TestViewPatchConcurrentEstimates(t *testing.T) {
 	)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(workers int) {
+		go func() {
 			defer wg.Done()
 			for n := 0; ; n++ {
 				select {
@@ -206,18 +206,18 @@ func TestViewPatchConcurrentEstimates(t *testing.T) {
 				}
 				mu.RLock()
 				ver := fams["A"].Version()
-				got, err := q.Estimate(fams, 0.2, true, EstimateOptions{Workers: workers})
+				got, err := q.Estimate(fams, 0.2, true, EstimateOptions{})
 				mu.RUnlock()
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if w, ok := want[ver]; !ok || got != w {
-					t.Errorf("estimate at version %d (workers %d) = %+v, serial %+v", ver, workers, got, w)
+					t.Errorf("estimate at version %d = %+v, from a fresh view %+v", ver, got, w)
 					return
 				}
 			}
-		}(g + 1)
+		}()
 	}
 	for k := 0; k < batches; k++ {
 		mu.Lock()

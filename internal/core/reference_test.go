@@ -15,6 +15,85 @@ import (
 // only the float epilogues (unionFromCounts, unionMLFromCounts,
 // finishWitnessEstimate) are shared.
 
+// The remaining §3.2 checks of paper Fig. 4 over counter sketches. The
+// query kernel tests packed signatures instead; these serve the
+// reference oracle and the check tests.
+
+// IdenticalSingletonBucket reports whether bucket b is a singleton in
+// both x and y and both singletons are the same domain value (paper
+// Fig. 4). The sketches must be aligned; comparing unaligned sketches
+// is a programming error and returns false.
+//
+// Two different singleton values agree on all s second-level bit
+// signatures with probability at most 2^−s.
+func IdenticalSingletonBucket(x, y *Sketch, b int) bool {
+	if !x.Aligned(y) {
+		return false
+	}
+	if !x.SingletonBucket(b) || !y.SingletonBucket(b) {
+		return false
+	}
+	for j := 0; j < x.cfg.SecondLevel; j++ {
+		if (x.count(b, j, 0) > 0) != (y.count(b, j, 0) > 0) ||
+			(x.count(b, j, 1) > 0) != (y.count(b, j, 1) > 0) {
+			return false // signatures differ in at least one bit
+		}
+	}
+	return true
+}
+
+// SingletonUnionBucket reports whether the set union of the elements of
+// x and y mapping to bucket b is a singleton (paper Fig. 4): either one
+// bucket is a singleton and the other empty, or both are identical
+// singletons.
+func SingletonUnionBucket(x, y *Sketch, b int) bool {
+	if x.SingletonBucket(b) && y.totals[b] == 0 {
+		return true
+	}
+	if y.SingletonBucket(b) && x.totals[b] == 0 {
+		return true
+	}
+	return IdenticalSingletonBucket(x, y, b)
+}
+
+// SingletonUnionBucketN generalizes SingletonUnionBucket to any number
+// of aligned sketches: it reports whether the union of all live
+// elements mapping to bucket b across the sketches is a singleton.
+//
+// It exploits linearity: because aligned sketches share hash functions,
+// the counters of the union multi-set ⊎_i A_i are the per-index sums of
+// the individual counters, so the n-way check is SingletonBucket
+// evaluated on summed counters — no merged sketch is materialized.
+// This is the primitive behind the §4 set-expression estimator's
+// "bucket j is a singleton bucket for ∪_i A_i" condition.
+func SingletonUnionBucketN(sketches []*Sketch, b int) bool {
+	if len(sketches) == 0 {
+		return false
+	}
+	first := sketches[0]
+	var total int64
+	for _, x := range sketches {
+		if !first.Aligned(x) {
+			return false
+		}
+		total += x.totals[b]
+	}
+	if total == 0 {
+		return false
+	}
+	for j := 0; j < first.cfg.SecondLevel; j++ {
+		var c0, c1 int64
+		for _, x := range sketches {
+			c0 += x.count(b, j, 0)
+			c1 += x.count(b, j, 1)
+		}
+		if c0 > 0 && c1 > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // refOracle is the reference's per-copy, per-bucket observations.
 type refOracle interface {
 	// occupied reports whether stream k's copy-i bucket b is non-empty.
@@ -297,7 +376,7 @@ func estimateNode(e expr.Node, fams map[string]*Family, eps float64, multiLevel 
 	if err != nil {
 		return Estimate{}, err
 	}
-	return q.Estimate(fams, eps, multiLevel, DefaultEstimateOptions())
+	return q.Estimate(fams, eps, multiLevel, EstimateOptions{})
 }
 
 // estimateNodeBits is estimateNode over bit families.
@@ -306,5 +385,5 @@ func estimateNodeBits(e expr.Node, fams map[string]*BitFamily, eps float64, mult
 	if err != nil {
 		return Estimate{}, err
 	}
-	return q.EstimateBits(fams, eps, multiLevel, DefaultEstimateOptions())
+	return q.EstimateBits(fams, eps, multiLevel, EstimateOptions{})
 }

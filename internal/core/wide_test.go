@@ -104,7 +104,7 @@ func TestWideQueryEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if res := eng.Evaluate(v, eps, core.EstimateOptions{Workers: 3}); len(res) != 1 || res[0].Err != "" {
+	if res := eng.Evaluate(v, eps, core.EstimateOptions{}); len(res) != 1 || res[0].Err != "" {
 		t.Errorf("view: %+v", res)
 	} else {
 		check("view", res[0].Est, nil)

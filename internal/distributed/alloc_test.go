@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"setsketch/internal/core"
 	"setsketch/internal/datagen"
 )
 
@@ -174,7 +173,6 @@ func TestCoordinatorEstimateSerialAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetEstimateOptions(core.EstimateOptions{}) // serial kernel
 	for _, stream := range []string{"A", "B"} {
 		fam, err := testCoins.NewFamily()
 		if err != nil {
@@ -183,7 +181,7 @@ func TestCoordinatorEstimateSerialAllocFree(t *testing.T) {
 		for i := uint64(0); i < 500; i++ {
 			fam.Update(i*3%700, 1)
 		}
-		if err := coord.Push("site", stream, fam); err != nil {
+		if err := coord.ApplyDelta("site", stream, fam, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

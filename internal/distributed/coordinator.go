@@ -16,11 +16,12 @@ import (
 	"setsketch/internal/wal"
 )
 
-// Coordinator is the central site of Fig. 1: it accumulates synopses
-// pushed by stream sites — merging multiple contributions to the same
-// stream by sketch linearity — and answers set-expression cardinality
-// queries over the merged collection. It also hosts the standing
-// continuous queries of watch.go, re-evaluated as updates accumulate.
+// Coordinator is the central site of Fig. 1: it accumulates what stream
+// sites ship through their sessions — raw update batches it sketches
+// itself, and synopsis deltas it merges by sketch linearity — and
+// answers set-expression cardinality queries over the merged
+// collection. It also hosts the standing continuous queries of
+// watch.go, re-evaluated as updates accumulate.
 // A Coordinator is safe for concurrent use; per-stream state is
 // partitioned into lock-striped shards (shard.go) so sessions writing
 // disjoint streams proceed in parallel.
@@ -29,11 +30,6 @@ type Coordinator struct {
 
 	met coordMetrics
 	log *obs.Logger
-
-	// estOpts tunes the core query kernel (worker-pool size). Set it
-	// via SetEstimateOptions before the coordinator serves traffic,
-	// like SetObservability.
-	estOpts core.EstimateOptions
 
 	// wlog, when set via AttachWAL, makes every accepted mutation
 	// durable before it is applied (durability.go). Set before the
@@ -150,7 +146,7 @@ type coordMetrics struct {
 func newCoordMetrics(reg *obs.Registry) coordMetrics {
 	return coordMetrics{
 		deltasMerged: reg.Counter("coord_deltas_merged_total",
-			"Synopsis deltas (and one-shot pushes) merged by linearity."),
+			"Synopsis deltas merged by linearity."),
 		rawBatches: reg.Counter("coord_raw_update_batches_total",
 			"Raw update batches sketched centrally (forward-mode sessions)."),
 		rawUpdates: reg.Counter("coord_raw_updates_total",
@@ -288,7 +284,6 @@ func NewCoordinator(coins Coins) (*Coordinator, error) {
 	c := &Coordinator{
 		coins:        coins,
 		met:          newCoordMetrics(nil), // unregistered instruments until SetObservability
-		estOpts:      core.DefaultEstimateOptions(),
 		cqe:          cqe,
 		compileCache: make(map[string]compiledExpr),
 		watchers:     make(map[int]*Watcher),
@@ -298,31 +293,22 @@ func NewCoordinator(coins Coins) (*Coordinator, error) {
 	return c, nil
 }
 
-// SetEstimateOptions tunes the query kernel for all estimates this
-// coordinator computes (ad-hoc and watch rounds). Call it before the
-// coordinator serves traffic; the default is one witness-scan worker
-// per CPU.
-func (c *Coordinator) SetEstimateOptions(opts core.EstimateOptions) {
-	c.estOpts = opts
-}
+// SetEstimateOptions is a no-op kept for source compatibility:
+// core.EstimateOptions has no fields left, and every estimate scans
+// serially on the calling goroutine.
+func (c *Coordinator) SetEstimateOptions(core.EstimateOptions) {}
 
 // Coins returns the coordinator's expected coins.
 func (c *Coordinator) Coins() Coins { return c.coins }
 
-// Push merges a site's synopsis for one stream into the coordinator's
-// state. Contributions to the same stream from different sites add up
-// to the synopsis of the full stream (linearity); synopses built with
-// the wrong coins are rejected with core.ErrNotAligned.
-func (c *Coordinator) Push(site, stream string, fam *core.Family) error {
-	// A one-shot push does not report how many updates it summarizes;
-	// credit one watch-trigger event.
-	return c.ApplyDelta(site, stream, fam, 1)
-}
-
-// ApplyDelta merges a synopsis delta like Push and additionally credits
-// count stream updates toward the continuous-query triggers — streaming
-// sites report how many local updates each flushed delta summarizes, so
-// update-count watch thresholds fire accurately in delta mode too.
+// ApplyDelta merges a site's synopsis delta for one stream into the
+// coordinator's state and credits count stream updates toward the
+// continuous-query triggers. Contributions to the same stream from
+// different sites, or from successive flushes of one site, add up to
+// the synopsis of the full stream (linearity); synopses built with the
+// wrong coins are rejected with core.ErrNotAligned. Streaming sites
+// report how many local updates each flushed delta summarizes, so
+// update-count watch thresholds fire accurately in delta mode.
 //
 //sketchvet:wal-handler
 func (c *Coordinator) ApplyDelta(site, stream string, fam *core.Family, count uint64) error {
@@ -408,26 +394,9 @@ func (c *Coordinator) ApplyUpdates(site string, ups []datagen.Update) error {
 }
 
 // Updates returns how many stream updates have been credited so far
-// (raw updates individually; pushes and deltas by their reported
-// counts).
+// (raw updates individually; deltas by their reported counts).
 func (c *Coordinator) Updates() uint64 {
 	return c.updates.Load()
-}
-
-// PushSnapshot pushes every stream of a site snapshot.
-func (c *Coordinator) PushSnapshot(site string, snap map[string]*core.Family) error {
-	// Deterministic order so a failure is reproducible.
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := c.Push(site, name, snap[name]); err != nil {
-			return fmt.Errorf("stream %q: %w", name, err)
-		}
-	}
-	return nil
 }
 
 // Streams returns the names of all streams with merged synopses, sorted.
@@ -441,7 +410,9 @@ func (c *Coordinator) Streams() []string {
 	return out
 }
 
-// Pushes returns how many synopsis pushes each site has contributed.
+// Pushes returns, per site, how many mutations the coordinator has
+// accepted from it: one per raw update batch and one per synopsis
+// delta.
 func (c *Coordinator) Pushes() map[string]int {
 	out := make(map[string]int)
 	for i := range c.shards {
@@ -524,7 +495,7 @@ func (c *Coordinator) estimateCompiled(ce compiledExpr, eps float64) (core.Estim
 	for _, si := range ce.locks {
 		c.shards[si].mu.RLock()
 	}
-	est, err := ce.q.Estimate(*c.read.Load(), eps, true, c.estOpts)
+	est, err := ce.q.Estimate(*c.read.Load(), eps, true, core.EstimateOptions{})
 	for _, si := range ce.locks {
 		c.shards[si].mu.RUnlock()
 	}

@@ -5,18 +5,66 @@ import (
 	"errors"
 	"math"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"setsketch/internal/core"
+	"setsketch/internal/datagen"
 	"setsketch/internal/hashing"
+	"setsketch/internal/ingest"
 )
 
 var testCoins = Coins{
 	Config: core.Config{Buckets: 61, SecondLevel: 16, FirstWise: 8},
 	Seed:   99,
 	Copies: 256,
+}
+
+// sketchUpdates sketches ups serially into one family per stream from
+// the coins: the in-process reference a site's synopses are built
+// against.
+func sketchUpdates(t testing.TB, coins Coins, ups []datagen.Update) map[string]*core.Family {
+	t.Helper()
+	fams := map[string]*core.Family{}
+	for _, u := range ups {
+		f, ok := fams[u.Stream]
+		if !ok {
+			var err error
+			if f, err = coins.NewFamily(); err != nil {
+				t.Fatal(err)
+			}
+			fams[u.Stream] = f
+		}
+		f.Update(u.Elem, u.Delta)
+	}
+	return fams
+}
+
+// applyFamilies merges each family into the coordinator as one delta
+// from site, in sorted stream order, crediting count updates to each.
+func applyFamilies(t testing.TB, c *Coordinator, site string, fams map[string]*core.Family, count uint64) {
+	t.Helper()
+	names := make([]string, 0, len(fams))
+	for name := range fams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := c.ApplyDelta(site, name, fams[name], count); err != nil {
+			t.Fatalf("stream %q: %v", name, err)
+		}
+	}
+}
+
+// inserts renders elems as +1 updates to stream.
+func inserts(stream string, elems ...uint64) []datagen.Update {
+	ups := make([]datagen.Update, len(elems))
+	for i, e := range elems {
+		ups[i] = datagen.Update{Stream: stream, Elem: e, Delta: 1}
+	}
+	return ups
 }
 
 func TestCoinsValidate(t *testing.T) {
@@ -33,43 +81,8 @@ func TestCoinsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewSite("s", bad); err == nil {
-		t.Error("NewSite accepted bad coins")
-	}
 	if _, err := NewCoordinator(bad); err == nil {
 		t.Error("NewCoordinator accepted bad coins")
-	}
-}
-
-func TestSiteBasics(t *testing.T) {
-	site, err := NewSite("router1", testCoins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if site.Name() != "router1" || site.Coins() != testCoins {
-		t.Error("site accessors broken")
-	}
-	if err := site.Insert("A", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := site.Insert("B", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := site.Delete("A", 1); err != nil {
-		t.Fatal(err)
-	}
-	got := site.Streams()
-	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
-		t.Errorf("Streams = %v", got)
-	}
-	// Snapshot is a deep copy: later updates must not leak into it.
-	snap := site.Snapshot()
-	if err := site.Insert("A", 7); err != nil {
-		t.Fatal(err)
-	}
-	fresh, _ := testCoins.NewFamily()
-	if !snap["A"].Equal(fresh) {
-		t.Error("snapshot of emptied stream A is not empty, or was mutated after the fact")
 	}
 }
 
@@ -77,8 +90,7 @@ func TestSiteBasics(t *testing.T) {
 // a stream split across two sites merges at the coordinator into
 // exactly the synopsis a single observer would have built.
 func TestDistributedMergeMatchesCentralized(t *testing.T) {
-	site1, _ := NewSite("s1", testCoins)
-	site2, _ := NewSite("s2", testCoins)
+	var site1, site2 []datagen.Update
 	central, _ := testCoins.NewFamily()
 
 	rng := hashing.NewRNG(5)
@@ -86,40 +98,39 @@ func TestDistributedMergeMatchesCentralized(t *testing.T) {
 		e := rng.Uint64n(1 << 24)
 		central.Insert(e)
 		if i%2 == 0 {
-			if err := site1.Insert("A", e); err != nil {
-				t.Fatal(err)
-			}
+			site1 = append(site1, inserts("A", e)...)
 		} else {
-			if err := site2.Insert("A", e); err != nil {
-				t.Fatal(err)
-			}
+			site2 = append(site2, inserts("A", e)...)
 		}
 	}
 	coord, _ := NewCoordinator(testCoins)
-	if err := coord.PushSnapshot("s1", site1.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.PushSnapshot("s2", site2.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	applyFamilies(t, coord, "s1", sketchUpdates(t, testCoins, site1), uint64(len(site1)))
+	applyFamilies(t, coord, "s2", sketchUpdates(t, testCoins, site2), uint64(len(site2)))
 	merged := coord.Family("A")
 	if merged == nil || !merged.Equal(central) {
 		t.Fatal("distributed merge differs from centralized synopsis")
 	}
 	pushes := coord.Pushes()
 	if pushes["s1"] != 1 || pushes["s2"] != 1 {
-		t.Errorf("push accounting: %v", pushes)
+		t.Errorf("delta accounting: %v", pushes)
+	}
+	if coord.Updates() != 3000 {
+		t.Errorf("credited %d updates, want 3000", coord.Updates())
 	}
 	if coord.Family("missing") != nil {
 		t.Error("unknown stream returned a synopsis")
 	}
 }
 
-// TestFlushPeriodicCollection: successive flushes carry disjoint
-// increments whose additive merge equals the full-stream synopsis —
-// while successive Snapshots would double-count.
+// TestFlushPeriodicCollection: successive ingest-engine flushes carry
+// disjoint increments whose additive merge equals the full-stream
+// synopsis, and each flush leaves the site's synopsis empty.
 func TestFlushPeriodicCollection(t *testing.T) {
-	site, _ := NewSite("s", testCoins)
+	eng, err := ingest.New(testCoins.Config, testCoins.Seed, testCoins.Copies, ingest.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 	coord, _ := NewCoordinator(testCoins)
 	central, _ := testCoins.NewFamily()
 
@@ -127,23 +138,19 @@ func TestFlushPeriodicCollection(t *testing.T) {
 	for epoch := 0; epoch < 4; epoch++ {
 		for i := 0; i < 500; i++ {
 			e := rng.Uint64n(1 << 20)
-			if err := site.Insert("A", e); err != nil {
+			if err := eng.Update("A", e, 1); err != nil {
 				t.Fatal(err)
 			}
 			central.Insert(e)
 		}
-		if err := coord.PushSnapshot("s", site.Flush()); err != nil {
-			t.Fatal(err)
-		}
+		applyFamilies(t, coord, "s", eng.Flush(), 500)
 	}
 	merged := coord.Family("A")
 	if merged == nil || !merged.Equal(central) {
 		t.Fatal("merged periodic flushes differ from the full-stream synopsis")
 	}
-	// After the final flush the site's local synopsis is empty.
-	snap := site.Snapshot()
 	empty, _ := testCoins.NewFamily()
-	if !snap["A"].Equal(empty) {
+	if !eng.Snapshot()["A"].Equal(empty) {
 		t.Error("Flush did not reset the site synopsis")
 	}
 }
@@ -153,47 +160,40 @@ func TestCoordinatorRejectsWrongCoins(t *testing.T) {
 	wrong := testCoins
 	wrong.Seed = 123
 	fam, _ := wrong.NewFamily()
-	if err := coord.Push("s", "A", fam); !errors.Is(err, core.ErrNotAligned) {
-		t.Errorf("wrong-coins push: err = %v, want ErrNotAligned", err)
+	if err := coord.ApplyDelta("s", "A", fam, 1); !errors.Is(err, core.ErrNotAligned) {
+		t.Errorf("wrong-coins delta: err = %v, want ErrNotAligned", err)
 	}
-	if err := coord.Push("s", "A", nil); err == nil {
+	if err := coord.ApplyDelta("s", "A", nil, 1); err == nil {
 		t.Error("nil synopsis accepted")
 	}
 	shorter := testCoins
 	shorter.Copies = 8
 	fam2, _ := shorter.NewFamily()
-	if err := coord.Push("s", "A", fam2); !errors.Is(err, core.ErrNotAligned) {
-		t.Errorf("wrong-copy-count push: err = %v, want ErrNotAligned", err)
+	if err := coord.ApplyDelta("s", "A", fam2, 1); !errors.Is(err, core.ErrNotAligned) {
+		t.Errorf("wrong-copy-count delta: err = %v, want ErrNotAligned", err)
 	}
 }
 
 func TestCoordinatorEstimate(t *testing.T) {
 	// Two streams observed at two sites each; query |A & B| centrally.
 	coord, _ := NewCoordinator(testCoins)
-	sites := []*Site{}
-	for _, name := range []string{"s1", "s2"} {
-		s, _ := NewSite(name, testCoins)
-		sites = append(sites, s)
-	}
+	sites := make([][]datagen.Update, 2)
 	rng := hashing.NewRNG(6)
 	const u, inter = 2048, 512
 	for i := 0; i < u; i++ {
 		e := rng.Uint64n(1 << 30)
-		site := sites[i%2]
 		switch {
 		case i < inter:
-			site.Insert("A", e)
-			site.Insert("B", e)
+			sites[i%2] = append(sites[i%2], inserts("A", e)...)
+			sites[i%2] = append(sites[i%2], inserts("B", e)...)
 		case i%2 == 0:
-			site.Insert("A", e)
+			sites[i%2] = append(sites[i%2], inserts("A", e)...)
 		default:
-			site.Insert("B", e)
+			sites[i%2] = append(sites[i%2], inserts("B", e)...)
 		}
 	}
-	for _, s := range sites {
-		if err := coord.PushSnapshot(s.Name(), s.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
+	for k, ups := range sites {
+		applyFamilies(t, coord, []string{"s1", "s2"}[k], sketchUpdates(t, testCoins, ups), 1)
 	}
 	est, err := coord.Estimate("A & B", 0.2)
 	if err != nil {
@@ -235,20 +235,20 @@ func TestNetworkEndToEnd(t *testing.T) {
 	addr, shutdown := startServer(t, coord)
 	defer shutdown()
 
-	// Site side: summarize locally, push over TCP.
-	site, _ := NewSite("edge", testCoins)
+	// Site side: summarize locally, ship the synopses over a session.
+	var ups []datagen.Update
 	rng := hashing.NewRNG(7)
 	const u, inter = 1024, 256
 	for i := 0; i < u; i++ {
 		e := rng.Uint64n(1 << 28)
 		switch {
 		case i < inter:
-			site.Insert("A", e)
-			site.Insert("B", e)
+			ups = append(ups, inserts("A", e)...)
+			ups = append(ups, inserts("B", e)...)
 		case i%2 == 0:
-			site.Insert("A", e)
+			ups = append(ups, inserts("A", e)...)
 		default:
-			site.Insert("B", e)
+			ups = append(ups, inserts("B", e)...)
 		}
 	}
 	cli, err := Dial(addr)
@@ -256,7 +256,11 @@ func TestNetworkEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.PushSnapshot("edge", site.Snapshot()); err != nil {
+	sess, err := cli.OpenStream("edge", testCoins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.SendFlush(sketchUpdates(t, testCoins, ups), uint64(len(ups))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,8 +290,8 @@ func TestNetworkEndToEnd(t *testing.T) {
 	wrong := testCoins
 	wrong.Seed = 5
 	badFam, _ := wrong.NewFamily()
-	if err := cli.Push("edge", "A", badFam); err == nil {
-		t.Error("wrong-coins push accepted over network")
+	if _, err := sess.SendDelta("A", badFam, 1); err == nil {
+		t.Error("wrong-coins delta accepted over network")
 	}
 }
 
@@ -300,22 +304,28 @@ func TestNetworkConcurrentSites(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, sites)
 	for si := 0; si < sites; si++ {
+		rng := hashing.NewRNG(uint64(si) + 100)
+		var ups []datagen.Update
+		for i := 0; i < 500; i++ {
+			ups = append(ups, inserts("A", rng.Uint64n(1<<20))...)
+		}
+		fams := sketchUpdates(t, testCoins, ups)
 		wg.Add(1)
-		go func(si int) {
+		go func() {
 			defer wg.Done()
-			site, _ := NewSite("site", testCoins)
-			rng := hashing.NewRNG(uint64(si) + 100)
-			for i := 0; i < 500; i++ {
-				site.Insert("A", rng.Uint64n(1<<20))
-			}
 			cli, err := Dial(addr)
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer cli.Close()
-			errs <- cli.PushSnapshot("site", site.Snapshot())
-		}(si)
+			sess, err := cli.OpenStream("site", testCoins)
+			if err != nil {
+				errs <- err
+				return
+			}
+			errs <- sess.SendFlush(fams, 500)
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -325,7 +335,10 @@ func TestNetworkConcurrentSites(t *testing.T) {
 		}
 	}
 	if got := coord.Pushes()["site"]; got != sites {
-		t.Errorf("coordinator merged %d pushes, want %d", got, sites)
+		t.Errorf("coordinator merged %d deltas, want %d", got, sites)
+	}
+	if got := coord.Updates(); got != sites*500 {
+		t.Errorf("coordinator credited %d updates, want %d", got, sites*500)
 	}
 	cli, err := Dial(addr)
 	if err != nil {
@@ -358,25 +371,33 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if typ != msgError {
 		t.Errorf("reply type %#x, want msgError", typ)
 	}
-	// Undecodable push payload: error reply.
-	if err := writeFrame(conn, msgPush, []byte{1, 2, 3}); err != nil {
+	// Undecodable query payload: error reply.
+	if err := writeFrame(conn, msgQuery, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err = readFrame(conn)
 	if err != nil || typ != msgError {
-		t.Errorf("garbled push: type %#x err %v", typ, err)
+		t.Errorf("garbled query: type %#x err %v", typ, err)
+	}
+	// The retired one-shot push type (0x01) is an unknown request now.
+	if err := writeFrame(conn, 0x01, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, err = readFrame(conn)
+	if err != nil || typ != msgError {
+		t.Errorf("retired push frame: type %#x err %v", typ, err)
 	}
 }
 
 func TestFrameLimits(t *testing.T) {
 	var sink deadWriter
-	if err := writeFrame(&sink, msgPush, make([]byte, maxFrame+1)); err == nil {
+	if err := writeFrame(&sink, msgQuery, make([]byte, maxFrame+1)); err == nil {
 		t.Error("oversized frame written")
 	}
 	// A header advertising an oversized payload must be rejected before
 	// any allocation.
 	var hdr [5]byte
-	hdr[0] = msgPush
+	hdr[0] = msgQuery
 	hdr[1], hdr[2], hdr[3], hdr[4] = 0xff, 0xff, 0xff, 0xff
 	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Error("oversized frame header accepted")

@@ -30,7 +30,7 @@ import (
 )
 
 // AttachWAL arms write-ahead logging: every accepted mutation (raw
-// update batch, synopsis delta, one-shot push) is appended to l —
+// update batch, synopsis delta, view-catalog change) is appended to l —
 // under wal.SyncAlways, fsynced — before it is applied, so a frame is
 // only acked once it is recoverable. Call it after Recover and before
 // the coordinator serves traffic, like SetObservability.

@@ -55,8 +55,8 @@ func requireSameState(t *testing.T, want, got *Coordinator) {
 }
 
 // testWorkload drives a mixed mutation sequence — raw batches (the
-// digest-packed WAL path with these coins), synopsis deltas, and a
-// one-shot push — through a coordinator.
+// digest-packed WAL path with these coins), a 300-update synopsis
+// delta, and a single-element delta — through a coordinator.
 func testWorkload(t *testing.T, c *Coordinator) {
 	t.Helper()
 	rng := hashing.NewRNG(42)
@@ -74,19 +74,16 @@ func testWorkload(t *testing.T, c *Coordinator) {
 	if err := c.ApplyUpdates("edge1", ups[200:]); err != nil {
 		t.Fatal(err)
 	}
-	site, _ := NewSite("edge2", testCoins)
+	delta, _ := testCoins.NewFamily()
 	for i := 0; i < 300; i++ {
-		if err := site.Insert("C", rng.Uint64n(1<<20)); err != nil {
-			t.Fatal(err)
-		}
+		delta.Insert(rng.Uint64n(1 << 20))
 	}
-	snap := site.Flush()
-	if err := c.ApplyDelta("edge2", "C", snap["C"], 300); err != nil {
+	if err := c.ApplyDelta("edge2", "C", delta, 300); err != nil {
 		t.Fatal(err)
 	}
-	oneShot, _ := testCoins.NewFamily()
-	oneShot.Insert(7777)
-	if err := c.Push("edge3", "A", oneShot); err != nil {
+	single, _ := testCoins.NewFamily()
+	single.Insert(7777)
+	if err := c.ApplyDelta("edge3", "A", single, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -53,18 +53,13 @@ func TestSessionMetricsAckPath(t *testing.T) {
 	if _, err := sess.SendUpdates(ups); err != nil {
 		t.Fatal(err)
 	}
-	site, _ := NewSite("edge", testCoins)
-	for _, u := range sessionUpdates(12, 50) {
-		if err := site.Update(u.Stream, u.Elem, u.Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, fam := range site.Snapshot() {
+	fams := sketchUpdates(t, testCoins, sessionUpdates(12, 50))
+	for name, fam := range fams {
 		if _, err := sess.SendDelta(name, fam, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deltas := uint64(len(site.Snapshot()))
+	deltas := uint64(len(fams))
 	if _, err := sess.Heartbeat(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,12 @@ import (
 //
 // Control payloads are gob-encoded message structs; the session hot
 // path (update batches, deltas, heartbeats, acks) uses the hand-rolled
-// binary codec in codec.go. Synopsis bytes inside a push or delta are
-// the core serialization format (with its own checksum). Every request
-// frame receives exactly one reply frame.
+// binary codec in codec.go. Synopsis bytes inside a delta are the core
+// serialization format (with its own checksum). Every request frame
+// receives exactly one reply frame. Type 0x01 carried the retired
+// one-shot synopsis push and is not reused.
 
 const (
-	msgPush        = 0x01 // pushMsg: site ships one stream's synopsis
 	msgQuery       = 0x02 // queryMsg: estimate a set expression
 	msgStreams     = 0x03 // no payload: list merged stream names
 	msgHello       = 0x04 // helloMsg: open a streaming session (stream.go)
@@ -40,7 +40,7 @@ const (
 	msgCreateView  = 0x09 // createViewMsg: register a continuous view
 	msgDropView    = 0x0a // dropViewMsg: remove a continuous view
 	msgListViews   = 0x0b // no payload: list the view catalog
-	msgOK          = 0x10 // empty reply to a successful push/hello/watch/view change
+	msgOK          = 0x10 // empty reply to a successful hello/watch/view change
 	msgEstimate    = 0x11 // estimateMsg reply to a query
 	msgNames       = 0x12 // namesMsg reply to a streams request
 	msgAck         = 0x13 // binary ack: session frame accepted (codec.go)
@@ -59,12 +59,6 @@ const maxFrame = 64 << 20
 // append, state mutation) is local and always runs to completion;
 // only the ack write to the network is subject to this bound.
 const drainTimeout = 5 * time.Second
-
-type pushMsg struct {
-	Site     string
-	Stream   string
-	Synopsis []byte
-}
 
 type queryMsg struct {
 	Expr string
@@ -194,7 +188,6 @@ func (s *Server) SetObservability(reg *obs.Registry, log *obs.Logger) {
 // frameTypeName names each wire frame type for the per-type frame
 // counters; requests and replies are disjoint sets.
 var requestTypeNames = map[byte]string{
-	msgPush:        "push",
 	msgQuery:       "query",
 	msgStreams:     "streams",
 	msgHello:       "hello",
@@ -428,19 +421,6 @@ func (s *Server) dispatch(st *connState, typ byte, payload []byte) (reply []byte
 		return out, msgError
 	}
 	switch typ {
-	case msgPush:
-		var m pushMsg
-		if err := decodeGob(payload, &m); err != nil {
-			return fail(err)
-		}
-		fam, err := core.DecodeFamily(m.Synopsis)
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.coord.Push(m.Site, m.Stream, fam); err != nil {
-			return fail(err)
-		}
-		return nil, msgOK
 	case msgQuery:
 		var m queryMsg
 		if err := decodeGob(payload, &m); err != nil {
@@ -505,7 +485,7 @@ func (s *Server) dispatch(st *connState, typ byte, payload []byte) (reply []byte
 }
 
 // Client is a TCP client for a coordinator Server, usable both by
-// stream sites (Push) and by query front-ends (Query). A Client
+// stream sites (OpenStream) and by query front-ends (Query). A Client
 // serializes its requests; use one Client per goroutine for
 // parallelism.
 type Client struct {
@@ -581,43 +561,6 @@ func remoteError(payload []byte) error {
 		return fmt.Errorf("distributed: undecodable error reply: %v", err)
 	}
 	return fmt.Errorf("distributed: coordinator: %s", m.Message)
-}
-
-// synopsisPool recycles encode buffers for one-shot synopsis shipping
-// (Push); streaming sessions use their own per-session scratch instead.
-var synopsisPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// Push ships one stream's synopsis to the coordinator.
-func (c *Client) Push(site, stream string, fam *core.Family) error {
-	bp := synopsisPool.Get().(*[]byte)
-	defer synopsisPool.Put(bp)
-	*bp = fam.AppendTo((*bp)[:0])
-	payload, err := encodeGob(pushMsg{Site: site, Stream: stream, Synopsis: *bp})
-	if err != nil {
-		return err
-	}
-	typ, reply, err := c.roundTrip(msgPush, payload)
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case msgOK:
-		return nil
-	case msgError:
-		return remoteError(reply)
-	default:
-		return fmt.Errorf("distributed: unexpected reply type %#x to push", typ)
-	}
-}
-
-// PushSnapshot pushes every stream of a site snapshot.
-func (c *Client) PushSnapshot(site string, snap map[string]*core.Family) error {
-	for stream, fam := range snap {
-		if err := c.Push(site, stream, fam); err != nil {
-			return fmt.Errorf("stream %q: %w", stream, err)
-		}
-	}
-	return nil
 }
 
 // Query asks the coordinator for a set-expression cardinality estimate.

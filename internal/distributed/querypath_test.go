@@ -3,7 +3,6 @@ package distributed
 import (
 	"testing"
 
-	"setsketch/internal/core"
 	"setsketch/internal/datagen"
 	"setsketch/internal/obs"
 )
@@ -133,39 +132,5 @@ func TestCoordinatorCompileCache(t *testing.T) {
 	}
 	if got := counter("coord_compile_cache_misses_total"); got != 2 {
 		t.Errorf("compile misses after new text = %d, want 2", got)
-	}
-}
-
-// TestCoordinatorEstimateWorkers: serial and parallel coordinator
-// estimates agree exactly.
-func TestCoordinatorEstimateWorkers(t *testing.T) {
-	serial, err := NewCoordinator(testCoins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.SetEstimateOptions(core.EstimateOptions{Workers: 0})
-	parallel, err := NewCoordinator(testCoins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel.SetEstimateOptions(core.EstimateOptions{Workers: 8})
-	for i := uint64(0); i < 400; i++ {
-		feedStream(t, serial, "A", i)
-		feedStream(t, parallel, "A", i)
-		feedStream(t, serial, "B", i+200)
-		feedStream(t, parallel, "B", i+200)
-	}
-	for _, src := range []string{"A | B", "A & B", "A - B", "A ^ B"} {
-		a, err := serial.Estimate(src, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parallel.Estimate(src, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("%s: serial %+v != parallel %+v", src, a, b)
-		}
 	}
 }

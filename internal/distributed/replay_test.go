@@ -198,15 +198,13 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 					case r < 14:
 						raw()
 					case r < 17:
-						site, _ := NewSite("d", tc.coins)
+						delta, _ := tc.coins.NewFamily()
 						stream := []string{"A", "C", "g1:L", "g4:M"}[rng.Intn(4)]
 						n := 1 + rng.Intn(40)
 						for j := 0; j < n; j++ {
-							if err := site.Update(stream, rng.Uint64n(tc.domain), int64(rng.Intn(3))-1); err != nil {
-								t.Fatal(err)
-							}
+							delta.Update(rng.Uint64n(tc.domain), int64(rng.Intn(3))-1)
 						}
-						if err := live.ApplyDelta("d", stream, site.Flush()[stream], uint64(n)); err != nil {
+						if err := live.ApplyDelta("d", stream, delta, uint64(n)); err != nil {
 							t.Fatal(err)
 						}
 					case r < 19:
@@ -422,9 +420,9 @@ func TestRecoveryStatsHashBill(t *testing.T) {
 			apply(u("A", 2, -1), u("A", 3, 1), u("B", 1, -1), u("B", 1, 1), u("E", 9, -1))
 			// The delta flushes the five keys above: A:1 +2, A:2 0 and
 			// E:9 0 (each applied by the first batch), B:1 +1, A:3 +1.
-			site, _ := NewSite("d", testCoins)
-			site.Insert("C", 4)
-			if err := live.ApplyDelta("d", "C", site.Flush()["C"], 1); err != nil {
+			delta, _ := testCoins.NewFamily()
+			delta.Insert(4)
+			if err := live.ApplyDelta("d", "C", delta, 1); err != nil {
 				t.Fatal(err)
 			}
 			// The end of the log flushes A:1 +1; D:5 cancels inside its

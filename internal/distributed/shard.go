@@ -56,7 +56,8 @@ type coordShard struct {
 	// guarded by: mu
 	// wal: state
 	fams map[string]*core.Family
-	// sites counts pushes accepted per site, for diagnostics; site
+	// sites counts mutations (raw batches and deltas) accepted per
+	// site, for diagnostics; site
 	// names hash into the same stripe space as stream names.
 	// guarded by: mu
 	// wal: state

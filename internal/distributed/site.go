@@ -11,12 +11,17 @@
 // bucket-by-bucket at the coordinator, and sketches of *the same*
 // stream observed at different sites merge by counter addition into
 // exactly the sketch a single observer would have built.
+//
+// A site reaches the coordinator only through a streaming session
+// (stream.go): it either forwards raw update batches for the
+// coordinator to sketch, or sketches locally with an ingest.Engine and
+// ships each flush as counted synopsis deltas. By linearity the merged
+// synopses do not depend on how often, or in how many pieces, a site
+// ships.
 package distributed
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"setsketch/internal/core"
 )
@@ -41,98 +46,4 @@ func (c Coins) Validate() error {
 		return fmt.Errorf("distributed: coins specify %d copies", c.Copies)
 	}
 	return c.Config.Validate()
-}
-
-// Site summarizes the update streams it observes into 2-level hash
-// sketch families built from shared coins. A Site is safe for
-// concurrent use.
-type Site struct {
-	name  string
-	coins Coins
-
-	mu   sync.Mutex
-	fams map[string]*core.Family
-}
-
-// NewSite creates a site with the given name (used for diagnostics
-// only) and shared coins.
-func NewSite(name string, coins Coins) (*Site, error) {
-	if err := coins.Validate(); err != nil {
-		return nil, err
-	}
-	return &Site{name: name, coins: coins, fams: make(map[string]*core.Family)}, nil
-}
-
-// Name returns the site's name.
-func (s *Site) Name() string { return s.name }
-
-// Coins returns the site's shared coins.
-func (s *Site) Coins() Coins { return s.coins }
-
-// Update applies the stream update ⟨stream, e, ±v⟩, creating the
-// stream's synopsis on first touch.
-func (s *Site) Update(stream string, e uint64, v int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.fams[stream]
-	if !ok {
-		var err error
-		if f, err = s.coins.NewFamily(); err != nil {
-			return err
-		}
-		s.fams[stream] = f
-	}
-	f.Update(e, v)
-	return nil
-}
-
-// Insert is Update(stream, e, +1).
-func (s *Site) Insert(stream string, e uint64) error { return s.Update(stream, e, 1) }
-
-// Delete is Update(stream, e, −1).
-func (s *Site) Delete(stream string, e uint64) error { return s.Update(stream, e, -1) }
-
-// Streams returns the names of the streams this site has observed,
-// sorted.
-func (s *Site) Streams() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.fams))
-	for name := range s.fams {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot returns deep copies of the site's synopses, suitable for
-// shipping to a coordinator while updates continue. Snapshot is for
-// ONE-SHOT collection: pushing two successive snapshots of the same
-// site double-counts everything observed before the first, because the
-// coordinator merges additively. For periodic collection use Flush.
-func (s *Site) Snapshot() map[string]*core.Family {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*core.Family, len(s.fams))
-	for name, f := range s.fams {
-		out[name] = f.Clone()
-	}
-	return out
-}
-
-// Flush atomically snapshots the site's synopses and resets them to
-// empty, so each flush carries exactly the updates observed since the
-// previous one. Because sketches are linear, the coordinator's
-// additive merge of successive flushes reconstructs exactly the
-// synopsis of the full local stream — this is the correct primitive
-// for periodic shipping.
-func (s *Site) Flush() map[string]*core.Family {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*core.Family, len(s.fams))
-	for name, f := range s.fams {
-		out[name] = f.Clone()
-		f.Reset()
-	}
-	return out
 }

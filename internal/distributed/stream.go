@@ -11,8 +11,8 @@ import (
 	"setsketch/internal/datagen"
 )
 
-// Streaming sessions extend the one-shot push protocol so a site can
-// stay connected to the coordinator indefinitely:
+// Streaming sessions are how a site ships to the coordinator; a site
+// stays connected indefinitely:
 //
 //	hello       → ok            open the session (coins are verified once)
 //	updateBatch → ack           raw ⟨stream, elem, ±v⟩ updates, sketched centrally

@@ -28,26 +28,17 @@ func sessionUpdates(seed uint64, n int) []datagen.Update {
 }
 
 // TestStreamingSessionRawUpdates: sessions forwarding raw update
-// batches yield coordinator synopses bit-identical to a one-shot push
-// of the same updates — the linearity exactness the protocol depends
-// on — while each session stays open across batches and heartbeats.
+// batches yield coordinator synopses bit-identical to an in-process
+// build of the same updates — the linearity exactness the protocol
+// depends on — while each session stays open across batches and
+// heartbeats.
 // With several sessions, each on its own connection and site, all
 // stream concurrently into one coordinator (run under -race by
 // scripts/check.sh), so the concurrent session paths are covered too.
 func TestStreamingSessionRawUpdates(t *testing.T) {
 	ups := sessionUpdates(21, 2000)
 
-	// Ground truth: one-shot site push.
-	refCoord, _ := NewCoordinator(testCoins)
-	site, _ := NewSite("ref", testCoins)
-	for _, u := range ups {
-		if err := site.Update(u.Stream, u.Elem, u.Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := refCoord.PushSnapshot("ref", site.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	want := sketchUpdates(t, testCoins, ups)
 
 	for _, sessions := range []int{1, 3} {
 		t.Run(fmt.Sprintf("sessions=%d", sessions), func(t *testing.T) {
@@ -68,9 +59,8 @@ func TestStreamingSessionRawUpdates(t *testing.T) {
 			}
 			wg.Wait()
 			for _, name := range []string{"A", "B"} {
-				got, want := coord.Family(name), refCoord.Family(name)
-				if got == nil || !got.Equal(want) {
-					t.Errorf("stream %q: streamed synopsis differs from one-shot push", name)
+				if got := coord.Family(name); got == nil || !got.Equal(want[name]) {
+					t.Errorf("stream %q: streamed synopsis differs from the in-process build", name)
 				}
 			}
 			if coord.Updates() != uint64(len(ups)) {
@@ -111,20 +101,12 @@ func streamRawUpdates(addr, site string, ups []datagen.Update) error {
 
 // TestStreamingSessionDeltas: an ingest engine flushing periodic
 // deltas over a session reconstructs — by linearity, exactly — the
-// synopsis a one-shot push of all updates would have produced.
+// synopsis a single delta of all updates produces.
 func TestStreamingSessionDeltas(t *testing.T) {
 	ups := sessionUpdates(22, 3000)
 
 	refCoord, _ := NewCoordinator(testCoins)
-	site, _ := NewSite("ref", testCoins)
-	for _, u := range ups {
-		if err := site.Update(u.Stream, u.Elem, u.Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := refCoord.PushSnapshot("ref", site.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	applyFamilies(t, refCoord, "ref", sketchUpdates(t, testCoins, ups), 1)
 
 	coord, _ := NewCoordinator(testCoins)
 	addr, shutdown := startServer(t, coord)
@@ -161,7 +143,7 @@ func TestStreamingSessionDeltas(t *testing.T) {
 	for _, name := range []string{"A", "B"} {
 		got, want := coord.Family(name), refCoord.Family(name)
 		if got == nil || !got.Equal(want) {
-			t.Errorf("stream %q: delta-streamed synopsis differs from one-shot push", name)
+			t.Errorf("stream %q: delta-streamed synopsis differs from a single delta", name)
 		}
 	}
 	// Delta counts keep the coordinator's update accounting exact.
@@ -175,7 +157,7 @@ func TestStreamingSessionDeltas(t *testing.T) {
 	}
 	want, _ := refCoord.Estimate("A | B", 0.2)
 	if got.Value != want.Value {
-		t.Errorf("streamed estimate %.1f != one-shot estimate %.1f", got.Value, want.Value)
+		t.Errorf("streamed estimate %.1f != single-delta estimate %.1f", got.Value, want.Value)
 	}
 }
 
@@ -304,12 +286,12 @@ func TestWatchContinuousQuery(t *testing.T) {
 		t.Error("request accepted on a watching connection")
 	}
 
-	pushCli, err := Dial(addr)
+	siteCli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pushCli.Close()
-	sess, err := pushCli.OpenStream("edge", testCoins)
+	defer siteCli.Close()
+	sess, err := siteCli.OpenStream("edge", testCoins)
 	if err != nil {
 		t.Fatal(err)
 	}

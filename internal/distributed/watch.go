@@ -403,7 +403,7 @@ func (c *Coordinator) evalViews(w *Watcher, epoch, total uint64) bool {
 		var emit cq.EmitMode
 		if v != nil {
 			emit = v.Spec().Emit
-			results = c.cqe.Evaluate(v, w.spec.Eps, c.estOpts)
+			results = c.cqe.Evaluate(v, w.spec.Eps, core.EstimateOptions{})
 		}
 		c.vmu.RUnlock()
 		c.met.cqViewRounds.Inc()

@@ -142,7 +142,7 @@ func (s *Sweep) trial(node expr.Node, target int, runSeed uint64) ([]float64, []
 			}
 			view[name] = tr
 		}
-		est, err := q.Estimate(view, s.Eps, !s.SingleLevel, core.DefaultEstimateOptions())
+		est, err := q.Estimate(view, s.Eps, !s.SingleLevel, core.EstimateOptions{})
 		switch {
 		case err == core.ErrNoObservations:
 			errs[i], failed[i] = 1, true

@@ -29,23 +29,6 @@ const MersennePrime uint64 = (1 << 61) - 1
 // (almost exactly) geometric over {0, …, FieldBits−1}.
 const FieldBits = 61
 
-// Func is a hash function from the update-stream element domain into
-// [0, 2^Bits()). Implementations must be deterministic and safe for
-// concurrent use (they are immutable after construction).
-type Func interface {
-	// Hash maps an element to its hash value.
-	Hash(x uint64) uint64
-	// Bits reports the output width in bits.
-	Bits() int
-}
-
-// BitFunc is a hash function onto the binary domain {0, 1}, used for the
-// second level of a 2-level hash sketch.
-type BitFunc interface {
-	// Bit maps an element to 0 or 1.
-	Bit(x uint64) int
-}
-
 // mulmod61 computes a*b mod 2^61−1 without overflow using a 128-bit
 // intermediate product. For p = 2^61−1, (hi, lo) with hi = ⌊ab/2^64⌋
 // satisfies ab ≡ hi·2^3·(2^61 mod p) + lo ≡ 8·hi + lo (mod p) after
@@ -74,7 +57,7 @@ func addmod61(a, b uint64) uint64 {
 // Poly is a degree-(d−1) polynomial hash over GF(2^61−1). With d
 // independently random coefficients it is a d-wise independent family:
 // for any d distinct inputs the outputs are independent and uniform
-// over the field. Poly implements Func.
+// over the field.
 type Poly struct {
 	// coef holds the polynomial coefficients, constant term first.
 	// All are in [0, MersennePrime); the leading coefficient is nonzero
@@ -154,9 +137,6 @@ func (p *Poly) HashReducedBatch(dst, xs []uint64) {
 		dst[k] = p.HashReduced(xs[k])
 	}
 }
-
-// Bits reports the output width (61 for the Mersenne field).
-func (p *Poly) Bits() int { return FieldBits }
 
 // Wise reports the independence degree of the family this function was
 // drawn from.
@@ -318,33 +298,6 @@ func Reduce61(x uint64) uint64 {
 	}
 	return x
 }
-
-// MultiplyShift is Dietzfelbinger's 2-universal multiply-shift hash on
-// 64-bit inputs. It is the cheapest family in this package (one multiply)
-// and is offered as a fast alternative first level where strict t-wise
-// independence is not required (e.g. baselines and ablations).
-type MultiplyShift struct {
-	a    uint64 // odd multiplier
-	bits int    // output width
-}
-
-// NewMultiplyShift constructs a multiply-shift function with the given
-// output width in (0, 64].
-func NewMultiplyShift(seed uint64, outBits int) *MultiplyShift {
-	if outBits <= 0 || outBits > 64 {
-		panic(fmt.Sprintf("hashing: multiply-shift output width %d out of range (0, 64]", outBits))
-	}
-	rng := NewRNG(seed)
-	return &MultiplyShift{a: rng.Uint64() | 1, bits: outBits}
-}
-
-// Hash maps x to a value of Bits() bits.
-func (m *MultiplyShift) Hash(x uint64) uint64 {
-	return (m.a * x) >> (64 - uint(m.bits))
-}
-
-// Bits reports the configured output width.
-func (m *MultiplyShift) Bits() int { return m.bits }
 
 // LSB returns the index of the least-significant set bit of v, the
 // first-level bucket operator of the paper: for h uniform on [2^w],

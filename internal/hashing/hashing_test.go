@@ -195,24 +195,6 @@ func TestPairBitBalance(t *testing.T) {
 	}
 }
 
-func TestMultiplyShift(t *testing.T) {
-	m := NewMultiplyShift(77, 32)
-	if m.Bits() != 32 {
-		t.Fatalf("Bits() = %d, want 32", m.Bits())
-	}
-	for x := uint64(0); x < 1000; x++ {
-		if v := m.Hash(x); v >= 1<<32 {
-			t.Fatalf("Hash(%d) = %d exceeds 32 bits", x, v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMultiplyShift with width 0 did not panic")
-		}
-	}()
-	NewMultiplyShift(1, 0)
-}
-
 func TestLSBEdgeCases(t *testing.T) {
 	if got := LSB(0, 61); got != 60 {
 		t.Errorf("LSB(0, 61) = %d, want 60", got)

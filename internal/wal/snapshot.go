@@ -26,7 +26,7 @@ import (
 //	  version u8        currently 2 (1 readable: it lacks the views section)
 //	  seq     u64       covering WAL sequence number
 //	  updates u64       stream updates credited at the snapshot point
-//	  sites   uvarint n, then n × { name string, pushes uvarint }
+//	  sites   uvarint n, then n × { name string, mutations uvarint }
 //	  streams uvarint m, then m × { name string,
 //	                                family uvarint len + core serialization }
 //	  views   uvarint k, then k strings   (canonical CREATE VIEW statements;

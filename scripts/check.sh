@@ -31,9 +31,9 @@ go test -race ./...
 # state is mutated under the coordinator lock while watch rounds read
 # it; run those packages under the race detector twice more with fresh
 # schedules so the contended paths get extra interleavings in tier-1.
-# The query kernel's parallel witness scan and shared family views get
-# the same treatment (scoped to the kernel tests — the whole core
-# package under -race -count=2 is minutes of statistical tests).
+# The query kernel's concurrent readers of shared family views get the
+# same treatment (scoped to the kernel tests — the whole core package
+# under -race -count=2 is minutes of statistical tests).
 echo "== go test -race -count=2 ./internal/ingest ./internal/distributed ./internal/cq"
 go test -race -count=2 ./internal/ingest ./internal/distributed ./internal/cq
 # The sharded coordinator's whole point is concurrent sessions on
@@ -96,6 +96,11 @@ go test -run 'TestCrashRecoveryBitIdentical|TestViewCatalogSurvivesCrash|TestIns
 # measurement (full numbers come from bash bench/run.sh).
 echo "== go run ./bench -smoke -trace 1 -workload forward_hot"
 go run ./bench -smoke -trace 1 -workload forward_hot
+# The multi-site example: four sites, each an ingest engine shipping
+# delta flushes over its own session to one coordinator. No test runs
+# the examples, so run this one end to end.
+echo "== go run ./examples/distributed"
+go run ./examples/distributed
 # Wire-frame bench smokes: the codec benchmarks must at least compile
 # and complete one iteration.
 echo "== go test -run=NONE -bench 'UpdateBatch(Encode|Decode)Frame$' -benchtime=1x ./internal/distributed"

@@ -56,33 +56,6 @@ type Options struct {
 	// or merge snapshots (distributed sites) must share a Seed — the
 	// "stored coins" of the distributed-streams model. Default 1.
 	Seed uint64
-
-	// EstimateWorkers sets the witness-scan worker-pool size used by
-	// Estimate and continuous queries. 0 uses one worker per available
-	// CPU; negative scans serially on the calling goroutine. Parallel
-	// and serial scans produce bit-identical estimates, so this is a
-	// pure latency knob. It does not affect the synopsis ("stored
-	// coins"): processors may exchange snapshots regardless of it.
-	EstimateWorkers int
-}
-
-// coins returns the option fields that determine the synopsis hash
-// functions and shape — what two processors must share to exchange
-// snapshots. Query-side tuning (EstimateWorkers) is excluded.
-func (o Options) coins() Options {
-	return Options{Copies: o.Copies, SecondLevel: o.SecondLevel, FirstWise: o.FirstWise, Seed: o.Seed}
-}
-
-// estimateOptions maps the public worker knob onto the kernel options.
-func estimateOptions(o Options) core.EstimateOptions {
-	switch {
-	case o.EstimateWorkers == 0:
-		return core.DefaultEstimateOptions()
-	case o.EstimateWorkers < 0:
-		return core.EstimateOptions{Workers: 0}
-	default:
-		return core.EstimateOptions{Workers: o.EstimateWorkers}
-	}
 }
 
 // DefaultOptions returns the configuration used in the paper's
@@ -130,9 +103,8 @@ func fromCore(e core.Estimate) Estimate {
 // and other whole-state reads hold mu.Lock (exclusive), so they see a
 // consistent snapshot of every counter.
 type Processor struct {
-	opts    Options
-	cfg     core.Config
-	estOpts core.EstimateOptions
+	opts Options
+	cfg  core.Config
 
 	mu    sync.RWMutex
 	fams  map[string]*core.Family
@@ -162,11 +134,10 @@ func NewProcessor(opts Options) (*Processor, error) {
 		return nil, fmt.Errorf("setsketch: Copies = %d, need at least 1", opts.Copies)
 	}
 	return &Processor{
-		opts:    opts,
-		cfg:     cfg,
-		estOpts: estimateOptions(opts),
-		fams:    make(map[string]*core.Family),
-		locks:   make(map[string]*sync.Mutex),
+		opts:  opts,
+		cfg:   cfg,
+		fams:  make(map[string]*core.Family),
+		locks: make(map[string]*sync.Mutex),
 	}, nil
 }
 
@@ -285,7 +256,7 @@ func (p *Processor) estimate(expression string, eps float64, multiLevel bool) (E
 	// not observe updates mid-flight (updates hold mu.RLock).
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	est, err := q.Estimate(p.fams, eps, multiLevel, p.estOpts)
+	est, err := q.Estimate(p.fams, eps, multiLevel, core.EstimateOptions{})
 	return fromCore(est), err
 }
 
@@ -424,7 +395,7 @@ func (p *Processor) Restore(stream string, r io.Reader) error {
 // MergeFrom merges every stream synopsis of another Processor into
 // this one. Both processors must share Options (stored coins).
 func (p *Processor) MergeFrom(other *Processor) error {
-	if p.opts.coins() != other.opts.coins() {
+	if p.opts != other.opts {
 		return fmt.Errorf("setsketch: merging processors with different options")
 	}
 	other.mu.RLock()
