@@ -189,7 +189,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // (s+1 counter touches); these benches quantify the s accuracy/speed
 // trade documented by `experiments -fig s-ablation`.
 func BenchmarkAblationSecondLevel(b *testing.B) {
-	for _, s := range []int{8, 16, 32, 64} {
+	for _, s := range []int{8, 16, 32, 58} {
 		b.Run(fmt.Sprintf("s=%d", s), func(b *testing.B) {
 			cfg := benchCfg
 			cfg.SecondLevel = s

@@ -108,7 +108,7 @@ func usage() {
 // coinFlags registers the shared stored-coins flags on a flag set.
 func coinFlags(fs *flag.FlagSet) func() distributed.Coins {
 	copies := fs.Int("copies", 512, "sketch copies r per stream")
-	s := fs.Int("s", 32, "second-level hash functions")
+	s := fs.Int("s", 32, "second-level hash functions (at most 58)")
 	wise := fs.Int("wise", 8, "first-level independence degree")
 	seed := fs.Uint64("seed", 1, "stored-coins master seed")
 	return func() distributed.Coins {
@@ -342,7 +342,7 @@ func runServe(args []string) error {
 	cqGroupSep := fs.String("cq-group-sep", "", "separator splitting physical stream names into group:logical for GROUP BY views (default \":\")")
 	cqRotate := fs.Duration("cq-rotate-interval", time.Second, "sweep windowed continuous views this often so idle views still age out buckets (0 disables the sweep)")
 	shards := fs.Int("shards", 0, "lock-striped coordinator state shards, rounded up to a power of two (0 = GOMAXPROCS-derived default, 1 = unsharded layout)")
-	digestCache := fs.Int("digest-cache", 0, "coordinator element-digest cache entries for the raw-update path, rounded up to a power of two (0 = default 8192, negative = disable)")
+	digestCache := fs.Int("digest-cache", 0, "coordinator element-digest cache entries for the raw-update path, rounded up to a power of two (0 = default 8192, negative = no cache)")
 	mutexFrac := fs.Int("mutex-profile-fraction", 0, "sample 1/n mutex contention events into /debug/pprof/mutex (0 disables)")
 	blockRate := fs.Int("block-profile-rate", 0, "sample blocking events of >= n ns into /debug/pprof/block (0 disables)")
 	mkLog := logFlags(fs)
@@ -423,7 +423,7 @@ func runStream(args []string) error {
 	mode := fs.String("mode", "sketch", "sketch: local sharded ingest + delta flushes; forward: relay raw update batches")
 	workers := fs.Int("workers", 0, "ingest shard workers (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 256, "updates per batch hand-off")
-	digestCache := fs.Int("digest-cache", 0, "element-digest cache entries, rounded up to a power of two (0 = default 8192, negative = disable digest path)")
+	digestCache := fs.Int("digest-cache", 0, "element-digest cache entries, rounded up to a power of two (0 = default 8192, negative = no cache)")
 	flushUpdates := fs.Int("flush-updates", 10000, "flush a synopsis delta every N updates (sketch mode)")
 	flushInterval := fs.Duration("flush-interval", 2*time.Second, "also flush after this long without one (sketch mode)")
 	walDir := fs.String("wal-dir", "", "site journal directory; batches are journaled before processing and replayed after a crash (disabled if empty)")

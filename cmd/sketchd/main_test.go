@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"setsketch/internal/core"
 	"setsketch/internal/datagen"
 	"setsketch/internal/distributed"
+	"setsketch/internal/ingest"
 )
 
 // startCoordinator runs an in-process coordinator server matching the
@@ -202,5 +204,38 @@ func TestQueryErrors(t *testing.T) {
 	args := append([]string{"-addr", addr, "-in", "/nonexistent"}, coinArgs()...)
 	if err := runStream(args); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("stream of missing file: err = %v, want not-exist", err)
+	}
+}
+
+// TestSecondLevelCap: s ≤ 58 is a configuration rule — each copy's
+// bucket index and s second-level bits pack into one 64-bit digest
+// word — so every entry point rejects s = 59 with an error naming the
+// cap: core.Config.Validate, distributed.NewCoordinator, ingest.New
+// (sketchd stream -mode sketch), and sketchd serve -s 59.
+func TestSecondLevelCap(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SecondLevel = 58
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("s = 58 rejected: %v", err)
+	}
+	cfg.SecondLevel = 59
+	check := func(where string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "SecondLevel = 59 exceeds 58") {
+			t.Errorf("%s: s = 59 gave %v, want an error naming the cap of 58", where, err)
+		}
+	}
+	check("Config.Validate", cfg.Validate())
+	_, err := distributed.NewCoordinator(distributed.Coins{Config: cfg, Seed: 1, Copies: 4})
+	check("NewCoordinator", err)
+	_, err = ingest.New(cfg, 1, 4, ingest.Options{})
+	check("ingest.New", err)
+	done := make(chan error, 1)
+	go func() { done <- runServe([]string{"-listen", "127.0.0.1:0", "-copies", "4", "-s", "59"}) }()
+	select {
+	case err := <-done:
+		check("sketchd serve", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("sketchd serve -s 59 started serving")
 	}
 }

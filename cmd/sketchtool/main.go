@@ -107,12 +107,12 @@ func runBuild(args []string) error {
 	in := fs.String("in", "-", "update-stream file (- for stdin)")
 	out := fs.String("out", ".", "output directory for synopsis files")
 	copies := fs.Int("copies", 512, "sketch copies r per stream")
-	s := fs.Int("s", 32, "second-level hash functions per sketch")
+	s := fs.Int("s", 32, "second-level hash functions per sketch (at most 58)")
 	wise := fs.Int("wise", 8, "first-level hash independence degree")
 	seed := fs.Uint64("seed", 1, "stored-coins master seed")
 	bits := fs.Bool("bits", false, "build 1-bit-cell synopses (≈33× smaller; rejects deletions)")
 	workers := fs.Int("workers", 0, "ingest shard workers (0 = GOMAXPROCS)")
-	digestCache := fs.Int("digest-cache", 0, "element-digest cache entries (0 = default 8192, negative = disable digest path)")
+	digestCache := fs.Int("digest-cache", 0, "element-digest cache entries (0 = default 8192, negative = no cache)")
 	level := fs.String("log-level", "warn", "progress/diagnostic log level: debug, info, warn, or error")
 	fs.Parse(args)
 

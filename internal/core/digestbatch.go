@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"setsketch/internal/hashing"
-)
+import "setsketch/internal/hashing"
 
 // The batch digest kernel. The per-element digest path walks all r
 // copies' hash constants — r polynomial coefficient vectors plus r·s
@@ -42,7 +38,6 @@ func (x *Sketch) digestWordsBatch(dw, xs, hs []uint64) {
 // batch. The returned digests view one shared slab but are individually
 // capped and never mutated after construction, so they are safe to
 // cache and to ship between goroutines exactly like Digest's result.
-// The configuration must be DigestPackable.
 func (f *Family) DigestBatch(elems []uint64) []Digest {
 	r := len(f.copies)
 	slab := make([]uint64, len(elems)*r)
@@ -59,9 +54,6 @@ func (f *Family) DigestBatch(elems []uint64) []Digest {
 // batch analogue of DigestInto for callers that manage digest storage
 // themselves.
 func (f *Family) DigestBatchInto(ds []Digest, elems []uint64) {
-	if !f.cfg.DigestPackable() {
-		panic(fmt.Sprintf("core: digest with SecondLevel = %d > %d", f.cfg.SecondLevel, DigestMaxSecondLevel))
-	}
 	n := len(elems)
 	if n == 0 {
 		return
@@ -92,8 +84,10 @@ func (f *Family) UpdateBatchDigest(ds []Digest, deltas []int64) {
 }
 
 // UpdateRangeBatchDigest is UpdateBatchDigest restricted to copies
-// lo..hi-1 — the batch analogue of UpdateRangeDigest, with the same
-// disjoint-storage sharding guarantee the ingest workers rely on.
+// lo..hi-1. Because the r copies are independent sketches, disjoint
+// copy ranges touch disjoint counter storage — this is the lock-free
+// entry point the ingest workers use to shard one family across
+// goroutines, each owning its own [lo, hi) slice of the copies.
 func (f *Family) UpdateRangeBatchDigest(lo, hi int, ds []Digest, deltas []int64) {
 	for i := lo; i < hi; i++ {
 		x := f.copies[i]

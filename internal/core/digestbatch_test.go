@@ -108,18 +108,27 @@ func TestDigestBatchIntoReusesStorage(t *testing.T) {
 	}
 }
 
-// TestDigestBatchUnpackablePanics mirrors the scalar DigestInto guard.
+// TestDigestBatchUnpackablePanics: DigestBatch has no unpackable shape
+// to refuse, because NewFamily rejects s > 58 before any family exists;
+// at the cap, s = 58, the batch kernel matches the scalar digest.
 func TestDigestBatchUnpackablePanics(t *testing.T) {
-	fam, err := NewFamily(Config{Buckets: 61, SecondLevel: 59, FirstWise: 2}, 1, 2)
+	if fam, err := NewFamily(Config{Buckets: 61, SecondLevel: 59, FirstWise: 2}, 1, 2); err == nil || fam != nil {
+		t.Fatalf("NewFamily at s = 59 gave (%v, %v), want an error", fam, err)
+	}
+	fam, err := NewFamily(Config{Buckets: 61, SecondLevel: 58, FirstWise: 2}, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DigestBatch on an unpackable shape did not panic")
+	elems := []uint64{1, 2, 1 << 40, ^uint64(0) >> 1}
+	got := fam.DigestBatch(elems)
+	for i, e := range elems {
+		want := fam.Digest(e)
+		for c := 0; c < fam.Copies(); c++ {
+			if got[i][c] != want[c] {
+				t.Fatalf("element %d copy %d: batch digest %#x, scalar %#x", e, c, got[i][c], want[c])
+			}
 		}
-	}()
-	fam.DigestBatch([]uint64{1})
+	}
 }
 
 // TestArenaPaddingInvariants: padded arenas must keep their padding

@@ -43,8 +43,8 @@ type Family struct {
 	// cached query view is current while its version matches (see
 	// queryview.go). It is a shared pointer because Truncate views alias
 	// the same counter storage: a mutation through any view must move
-	// all of them. Atomic because ingest workers call UpdateRange
-	// concurrently on disjoint copy shards.
+	// all of them. Atomic because ingest workers call
+	// UpdateRangeBatchDigest concurrently on disjoint copy shards.
 	version *atomic.Uint64
 	// dirty backs the per-copy dirty-bucket masks the copies' sketches
 	// point into (see queryview.go), copy i's word at
@@ -132,20 +132,7 @@ func (f *Family) Copy(i int) *Sketch { return f.copies[i] }
 func (f *Family) Update(e uint64, v int64) {
 	er := hashing.Reduce61(e)
 	for _, x := range f.copies {
-		x.updateReduced(er, v)
-	}
-	f.bumpVersion()
-}
-
-// UpdateRange applies ⟨e, ±v⟩ to copies lo..hi-1 only. Because the r
-// copies are independent sketches, updates to disjoint copy ranges
-// touch disjoint counter storage — this is the lock-free entry point
-// the ingest workers use to shard one family across goroutines, each
-// goroutine owning its own [lo, hi) slice of the copies.
-func (f *Family) UpdateRange(lo, hi int, e uint64, v int64) {
-	er := hashing.Reduce61(e)
-	for _, x := range f.copies[lo:hi] {
-		x.updateReduced(er, v)
+		x.applyDigest(x.digestWord(er), v)
 	}
 	f.bumpVersion()
 }
@@ -159,20 +146,10 @@ func (f *Family) UpdateRange(lo, hi int, e uint64, v int64) {
 // (they are never mutated after construction).
 type Digest []uint64
 
-// DigestMaxSecondLevel is the largest s whose second-level bit vector
-// still fits a digest word next to the 6-bit bucket index.
-const DigestMaxSecondLevel = 64 - digestBucketBits
-
-// DigestPackable reports whether sketches of this shape can pack an
-// element's full hash outcome into one uint64 per copy (s ≤ 58; the
-// paper's experimental shape s = 32 fits comfortably).
-func (c Config) DigestPackable() bool { return c.SecondLevel <= DigestMaxSecondLevel }
-
 // Digest evaluates all r first-level hashes and r·s second-level bits
 // for e — the entire per-element hash bill — and packs them. Applying
 // the result via UpdateDigest costs one addition per copy plus one per
-// set second-level bit, with zero field arithmetic. The configuration
-// must be DigestPackable.
+// set second-level bit, with zero field arithmetic.
 func (f *Family) Digest(e uint64) Digest {
 	d := make(Digest, len(f.copies))
 	f.DigestInto(d, e)
@@ -183,9 +160,6 @@ func (f *Family) Digest(e uint64) Digest {
 // Copies(). It lets callers that manage their own digest storage (the
 // ingest cache) avoid a per-element allocation.
 func (f *Family) DigestInto(d Digest, e uint64) {
-	if !f.cfg.DigestPackable() {
-		panic(fmt.Sprintf("core: digest with SecondLevel = %d > %d", f.cfg.SecondLevel, DigestMaxSecondLevel))
-	}
 	er := hashing.Reduce61(e)
 	for i, x := range f.copies {
 		d[i] = x.digestWord(er)
@@ -197,25 +171,19 @@ func (f *Family) DigestInto(d Digest, e uint64) {
 // Equivalent to Update(e, v) when d = f.Digest(e) (or the digest of any
 // aligned family).
 func (f *Family) UpdateDigest(d Digest, v int64) {
-	f.UpdateRangeDigest(0, len(f.copies), d, v)
-}
-
-// UpdateRangeDigest applies a digest update to copies lo..hi-1 only —
-// the digest-path analogue of UpdateRange, with the same disjoint-
-// storage sharding guarantee.
-func (f *Family) UpdateRangeDigest(lo, hi int, d Digest, v int64) {
-	for i := lo; i < hi; i++ {
-		f.copies[i].applyDigest(d[i], v)
+	for i, x := range f.copies {
+		x.applyDigest(d[i], v)
 	}
 	f.bumpVersion()
 }
 
 // MergeRange adds copies lo..hi-1 of g into the same copies of f. Like
-// UpdateRange it touches only the [lo, hi) copy shard, so disjoint
-// ranges of the same family can be merged concurrently; counter
-// addition makes it commute with concurrent UpdateRange calls on the
-// same shard only if those are serialized per shard (one owner per
-// range). The families must be aligned with equal copy counts.
+// UpdateRangeBatchDigest it touches only the [lo, hi) copy shard, so
+// disjoint ranges of the same family can be merged concurrently;
+// counter addition makes it commute with concurrent
+// UpdateRangeBatchDigest calls on the same shard only if those are
+// serialized per shard (one owner per range). The families must be
+// aligned with equal copy counts.
 func (f *Family) MergeRange(lo, hi int, g *Family) error {
 	if !f.Aligned(g) {
 		return ErrNotAligned

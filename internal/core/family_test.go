@@ -1,14 +1,16 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"setsketch/internal/hashing"
 )
 
 // TestUpdateRangeCoversFamily: splitting the copy index space into
-// disjoint ranges and updating each range separately must produce
-// exactly the family a plain Update would have built.
+// disjoint ranges and replaying each range separately, as the ingest
+// workers do, must produce exactly the family a plain Update would have
+// built.
 func TestUpdateRangeCoversFamily(t *testing.T) {
 	cfg := Config{Buckets: 32, SecondLevel: 8, FirstWise: 4}
 	const r = 37 // deliberately not a multiple of the shard count
@@ -25,18 +27,19 @@ func TestUpdateRangeCoversFamily(t *testing.T) {
 			e = rng.Uint64n(1 << 10) // deletions hit previously dense region
 		}
 		whole.Update(e, v)
+		ds := []Digest{sharded.Digest(e)}
 		for _, sh := range shards {
-			sharded.UpdateRange(sh[0], sh[1], e, v)
+			sharded.UpdateRangeBatchDigest(sh[0], sh[1], ds, []int64{v})
 		}
 	}
 	if !whole.Equal(sharded) {
-		t.Fatal("sharded UpdateRange differs from whole-family Update")
+		t.Fatal("sharded UpdateRangeBatchDigest differs from whole-family Update")
 	}
 	// Empty range is a no-op.
 	before := sharded.Clone()
-	sharded.UpdateRange(5, 5, 42, 1)
+	sharded.UpdateRangeBatchDigest(5, 5, []Digest{sharded.Digest(42)}, []int64{1})
 	if !before.Equal(sharded) {
-		t.Error("empty UpdateRange mutated the family")
+		t.Error("empty UpdateRangeBatchDigest mutated the family")
 	}
 }
 
@@ -84,11 +87,8 @@ func TestDigestMatchesUpdate(t *testing.T) {
 	for _, cfg := range []Config{
 		DefaultConfig(), // paper shape: s = 32
 		{Buckets: 8, SecondLevel: 1, FirstWise: 2},
-		{Buckets: 61, SecondLevel: DigestMaxSecondLevel, FirstWise: 8},
+		{Buckets: 61, SecondLevel: maxSecondLevel, FirstWise: 8},
 	} {
-		if !cfg.DigestPackable() {
-			t.Fatalf("cfg %+v should be packable", cfg)
-		}
 		const r = 9
 		direct, _ := NewFamily(cfg, 21, r)
 		viaDigest, _ := NewFamily(cfg, 21, r)
@@ -104,8 +104,8 @@ func TestDigestMatchesUpdate(t *testing.T) {
 			d := viaDigest.Digest(e)
 			// Split the replay across two disjoint copy ranges, as the
 			// ingest workers do.
-			viaDigest.UpdateRangeDigest(0, 4, d, v)
-			viaDigest.UpdateRangeDigest(4, r, d, v)
+			viaDigest.UpdateRangeBatchDigest(0, 4, []Digest{d}, []int64{v})
+			viaDigest.UpdateRangeBatchDigest(4, r, []Digest{d}, []int64{v})
 		}
 		if !direct.Equal(viaDigest) {
 			t.Errorf("cfg %+v: digest-path family differs from direct updates", cfg)
@@ -131,20 +131,30 @@ func TestDigestAlignedFamilies(t *testing.T) {
 	}
 }
 
-// TestDigestUnpackable: shapes whose second-level bit vector cannot
-// share a word with the bucket index must refuse to build digests.
+// TestDigestUnpackable: a copy's bucket index and s second-level bits
+// must share one 64-bit digest word, so s > 58 is not a valid shape:
+// Config.Validate rejects s = 59 with an error naming the cap, accepts
+// s = 58, and NewFamily never builds a family that could not digest.
 func TestDigestUnpackable(t *testing.T) {
-	cfg := Config{Buckets: 61, SecondLevel: DigestMaxSecondLevel + 1, FirstWise: 2}
-	if cfg.DigestPackable() {
-		t.Fatal("s = 59 reported packable")
+	cfg := Config{Buckets: 61, SecondLevel: 58, FirstWise: 2}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("s = 58 rejected: %v", err)
 	}
-	f, _ := NewFamily(cfg, 1, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Digest on an unpackable shape did not panic")
-		}
-	}()
-	f.Digest(1)
+	f, err := NewFamily(cfg, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.Digest(1)
+	want, _ := NewFamily(cfg, 1, 2)
+	want.Update(1, 3)
+	f.UpdateDigest(d, 3)
+	if !want.Equal(f) {
+		t.Fatal("digest at s = 58 applied incorrectly")
+	}
+	cfg.SecondLevel = 59
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "exceeds 58") {
+		t.Fatalf("Validate at s = 59 gave %v, want an error naming the cap of 58", err)
+	}
 }
 
 // TestCloneAndTruncateShareFlatLayout: Clone duplicates counters (and

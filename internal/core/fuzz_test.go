@@ -27,7 +27,7 @@ func FuzzDigestEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, buckets, s, wise uint8, data []byte) {
 		cfg := Config{
 			Buckets:     1 + int(buckets)%61,
-			SecondLevel: 1 + int(s)%int(DigestMaxSecondLevel),
+			SecondLevel: 1 + int(s)%maxSecondLevel,
 			FirstWise:   2 + int(wise)%8,
 		}
 		const r = 5
@@ -65,8 +65,8 @@ func FuzzDigestEquivalence(f *testing.F) {
 			direct.Update(e, v)
 			d := viaDigest.Digest(e)
 			mid := i % (r + 1)
-			viaDigest.UpdateRangeDigest(0, mid, d, v)
-			viaDigest.UpdateRangeDigest(mid, r, d, v)
+			viaDigest.UpdateRangeBatchDigest(0, mid, []Digest{d}, []int64{v})
+			viaDigest.UpdateRangeBatchDigest(mid, r, []Digest{d}, []int64{v})
 		}
 		if !direct.Equal(viaDigest) {
 			t.Fatalf("digest path diverged from direct path (cfg %+v, seed %d, %d updates)",
@@ -112,7 +112,7 @@ func FuzzDigestEquivalence(f *testing.F) {
 
 // FuzzQueryViewMaintained drives a family with a fuzzer-chosen shape
 // and coins through a tape of every mutator — the four update entry
-// points, the batch digest path, Merge, MergeRange, Reset, Clone, and
+// points (ranged and whole), Merge, MergeRange, Reset, Clone, and
 // writes through a Truncate view — interleaved with view reads. Every
 // read of the family and of its Truncate view must equal the view
 // rebuilt from the counters word for word, and the compiled estimate
@@ -126,7 +126,7 @@ func FuzzQueryViewMaintained(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, buckets, s uint8, tape []byte) {
 		cfg := Config{
 			Buckets:     1 + int(buckets)%61,
-			SecondLevel: 1 + int(s)%int(DigestMaxSecondLevel),
+			SecondLevel: 1 + int(s)%maxSecondLevel,
 			FirstWise:   4,
 		}
 		const r, rt = 4, 2 // the family's copies, and its Truncate view's
@@ -178,11 +178,11 @@ func FuzzQueryViewMaintained(f *testing.F) {
 			case 0:
 				fam.Update(e, v)
 			case 1:
-				fam.UpdateRange(lo, hi, e, v)
+				fam.UpdateRangeBatchDigest(lo, hi, []Digest{fam.Digest(e)}, []int64{v})
 			case 2:
 				fam.UpdateDigest(fam.Digest(e), v)
 			case 3:
-				fam.UpdateRangeDigest(lo, hi, fam.Digest(e), v)
+				fam.UpdateBatchDigest(fam.DigestBatch([]uint64{e}), []int64{v})
 			case 4:
 				fam.UpdateRangeBatchDigest(lo, hi, fam.DigestBatch([]uint64{e, e + 1, e + 7}), []int64{v, -v, v})
 			case 5:
@@ -199,7 +199,7 @@ func FuzzQueryViewMaintained(f *testing.F) {
 				case 0:
 					tr.Update(e, v)
 				case 1:
-					tr.UpdateRangeDigest(lo%(rt+1), rt, tr.Digest(e), v)
+					tr.UpdateRangeBatchDigest(lo%(rt+1), rt, []Digest{tr.Digest(e)}, []int64{v})
 				case 2:
 					err = tr.Merge(otherTr)
 				case 3:

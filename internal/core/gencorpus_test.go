@@ -48,8 +48,8 @@ func TestGenSeedCorpus(t *testing.T) {
 	// FuzzQueryViewMaintained tapes are 4-byte ops [op, element, delta,
 	// range] over a 4-copy family with a 2-copy Truncate view.
 	const (
-		update, updateRange, updateDigest, updateRangeDigest, batch = 0, 1, 2, 3, 4
-		merge, mergeRange, reset, clone, viaTruncate, read          = 5, 6, 7, 8, 9, 10
+		update, rangeDigest, updateDigest, wholeBatch, batch = 0, 1, 2, 3, 4
+		merge, mergeRange, reset, clone, viaTruncate, read   = 5, 6, 7, 8, 9, 10
 	)
 	// span is the range byte of copies [lo, hi); delta bytes 4, 5, 2
 	// and 3 are the deltas +1, +2, −1 and +4.
@@ -77,9 +77,9 @@ func TestGenSeedCorpus(t *testing.T) {
 	// each kind of write.
 	view("seed-every-op", 1, 60, 31,
 		[4]byte{update, 5, 4, 0}, [4]byte{read},
-		[4]byte{updateRange, 6, 5, span(1, 3)}, [4]byte{read},
+		[4]byte{rangeDigest, 6, 5, span(1, 3)}, [4]byte{read},
 		[4]byte{updateDigest, 7, 3, 0}, [4]byte{read},
-		[4]byte{updateRangeDigest, 8, 4, span(2, 4)}, [4]byte{read},
+		[4]byte{wholeBatch, 8, 4, span(2, 4)}, [4]byte{read},
 		[4]byte{batch, 9, 5, span(0, 4)}, [4]byte{read},
 		[4]byte{merge}, [4]byte{read},
 		[4]byte{mergeRange, 0, 0, span(1, 2)}, [4]byte{read},
@@ -95,13 +95,13 @@ func TestGenSeedCorpus(t *testing.T) {
 		[4]byte{update, 3, 4, 0}, [4]byte{read},
 		[4]byte{update, 3, 2, 0}, [4]byte{read},
 		[4]byte{batch, 3, 4, span(0, 4)}, [4]byte{read},
-		[4]byte{updateRangeDigest, 3, 2, span(0, 4)}, [4]byte{updateRangeDigest, 4, 2, span(0, 4)},
-		[4]byte{updateRangeDigest, 10, 4, span(0, 4)}, [4]byte{read})
+		[4]byte{wholeBatch, 3, 2, span(0, 4)}, [4]byte{wholeBatch, 4, 2, span(0, 4)},
+		[4]byte{wholeBatch, 10, 4, span(0, 4)}, [4]byte{read})
 	// Two signature words per bucket (s = 58), several reads with no
 	// write between them, and merges on top of updates.
 	view("seed-wide-signature", 99, 60, 57,
 		[4]byte{batch, 1, 5, span(0, 4)}, [4]byte{read}, [4]byte{read},
-		[4]byte{merge}, [4]byte{updateRange, 2, 2, span(3, 4)}, [4]byte{read},
+		[4]byte{merge}, [4]byte{rangeDigest, 2, 2, span(3, 4)}, [4]byte{read},
 		[4]byte{mergeRange, 0, 0, span(0, 1)}, [4]byte{batch, 30, 2, span(1, 3)}, [4]byte{read})
 	// Writes through the Truncate view, parent writes to the copies the
 	// view does not hold, and reads that refresh the Truncate view
@@ -110,7 +110,7 @@ func TestGenSeedCorpus(t *testing.T) {
 		[4]byte{read},
 		[4]byte{viaTruncate, 4, 5, 0}, [4]byte{viaTruncate, 6, 4, 0}, [4]byte{read, 1},
 		[4]byte{viaTruncate, 5, 2, span(1, 2)}, [4]byte{read},
-		[4]byte{updateRange, 1, 4, span(2, 4)}, [4]byte{read, 1},
+		[4]byte{rangeDigest, 1, 4, span(2, 4)}, [4]byte{read, 1},
 		[4]byte{update, 9, 4, 0}, [4]byte{read, 1},
 		[4]byte{viaTruncate, 7, 4, 0}, [4]byte{read},
 		[4]byte{clone}, [4]byte{viaTruncate, 8, 5, 0}, [4]byte{read, 1})

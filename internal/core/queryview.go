@@ -51,8 +51,8 @@ func sigWords(cfg Config) int { return (2*cfg.SecondLevel + 63) / 64 }
 func sigCollision(or uint64) bool { return or&(or>>1)&pairMask != 0 }
 
 // Version returns the family's mutation counter. It starts at 0 and
-// increases on every family-level mutation (Update, UpdateRange,
-// digest updates, Merge, MergeRange, Reset); Truncate views share the
+// increases on every family-level mutation (Update, digest
+// updates, Merge, MergeRange, Reset); Truncate views share the
 // parent's counter. Watchers use it to skip re-evaluation rounds when
 // nothing they reference has changed.
 func (f *Family) Version() uint64 {

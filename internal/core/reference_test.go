@@ -15,9 +15,28 @@ import (
 // only the float epilogues (unionFromCounts, unionMLFromCounts,
 // finishWitnessEstimate) are shared.
 
-// The remaining §3.2 checks of paper Fig. 4 over counter sketches. The
-// query kernel tests packed signatures instead; these serve the
-// reference oracle and the check tests.
+// The §3.2 checks of paper Fig. 4 over counter sketches. The query
+// kernel tests packed signatures instead; these serve the reference
+// oracle and the check tests.
+
+// SingletonBucket reports whether first-level bucket b contains exactly
+// one distinct live element (paper Fig. 4, procedure SingletonBucket).
+// It inspects only the s second-level counter pairs of the bucket. An
+// empty bucket returns false. If the bucket holds ≥ 2 distinct
+// elements, the check is fooled only when every one of the s
+// pairwise-independent second-level hashes maps all of them to the same
+// side — probability at most 2^−s (Lemma 3.1).
+func (x *Sketch) SingletonBucket(b int) bool {
+	if x.totals[b] == 0 {
+		return false // bucket is empty
+	}
+	for j := 0; j < x.cfg.SecondLevel; j++ {
+		if x.count(b, j, 0) > 0 && x.count(b, j, 1) > 0 {
+			return false // at least two distinct elements split by g_j
+		}
+	}
+	return true
+}
 
 // IdenticalSingletonBucket reports whether bucket b is a singleton in
 // both x and y and both singletons are the same domain value (paper

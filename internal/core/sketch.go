@@ -55,6 +55,12 @@ type Config struct {
 // bytes of payload build gigabytes of hash functions.
 const maxFirstWise = 64
 
+// maxSecondLevel caps Config.SecondLevel so that one copy's whole hash
+// outcome — the bucket index and all s second-level bits — packs into
+// one digest word (see digestWord). At s = 58 a singleton check already
+// errs with probability 2^−58; the paper fixes s = 32.
+const maxSecondLevel = 64 - digestBucketBits
+
 // DefaultConfig returns the configuration used throughout the paper's
 // experimental study (§5): s = 32 second-level functions, 8-wise
 // independent first-level hashing, and the full 61-bucket first level.
@@ -70,6 +76,9 @@ func (c Config) Validate() error {
 	}
 	if c.SecondLevel < 1 {
 		return fmt.Errorf("core: SecondLevel = %d, need at least 1", c.SecondLevel)
+	}
+	if c.SecondLevel > maxSecondLevel {
+		return fmt.Errorf("core: SecondLevel = %d exceeds %d (an element's hash outcome must pack into one 64-bit digest word per copy)", c.SecondLevel, maxSecondLevel)
 	}
 	if c.FirstWise < 2 {
 		return fmt.Errorf("core: FirstWise = %d, need at least pairwise (2)", c.FirstWise)
@@ -97,8 +106,7 @@ type Sketch struct {
 	h    *hashing.Poly
 	g    []*hashing.PairBit
 	// gbank is g flattened into contiguous coefficient arrays for the
-	// batch digest kernel; nil when s > 64 (shape not digest-packable,
-	// so the batch kernel never runs). Same functions, same bits.
+	// batch digest kernel. Same functions, same bits.
 	gbank *hashing.PairBitBank
 
 	// totals[b] is the sum of net frequencies of all elements in
@@ -142,16 +150,12 @@ func newSketchView(cfg Config, seed uint64, totals, counts []int64, dirty *uint6
 	for j := range g {
 		g[j] = hashing.NewPairBit(hashing.DeriveSeed(seed, 1, uint64(j)))
 	}
-	var bank *hashing.PairBitBank
-	if cfg.SecondLevel <= 64 {
-		bank = hashing.NewPairBitBank(g)
-	}
 	return &Sketch{
 		cfg:    cfg,
 		seed:   seed,
 		h:      hashing.NewPoly(hashing.DeriveSeed(seed, 0), cfg.FirstWise),
 		g:      g,
-		gbank:  bank,
+		gbank:  hashing.NewPairBitBank(g),
 		totals: totals,
 		counts: counts,
 		dirty:  dirty,
@@ -177,25 +181,10 @@ func (x *Sketch) Seed() uint64 { return x.seed }
 // counter of bucket LSB(h(e)) and to the matching second-level counter
 // under every g_j (§3.1). Only side-1 counters are stored, so the cost
 // is one total addition, one addition per g_j(e) = 1 (s/2 on average),
-// and s+1 hash evaluations per stream item.
+// and s+1 hash evaluations per stream item. It packs the hash outcome
+// into a digest word and replays it, like every other update path.
 func (x *Sketch) Update(e uint64, v int64) {
-	x.updateReduced(hashing.Reduce61(e), v)
-}
-
-// updateReduced is Update for an element already reduced into the hash
-// field. Family hoists the reduction out of its per-copy loop: one
-// Reduce61 serves all r copies instead of being recomputed in each.
-func (x *Sketch) updateReduced(er uint64, v int64) {
-	b := hashing.LSB(x.h.HashReduced(er), x.cfg.Buckets)
-	*x.dirty |= 1 << uint(b)
-	x.totals[b] += v
-	s := x.cfg.SecondLevel
-	c := x.counts[b*s : b*s+s]
-	for j, g := range x.g {
-		if g.BitReduced(er) == 1 {
-			c[j] += v
-		}
-	}
+	x.applyDigest(x.digestWord(hashing.Reduce61(e)), v)
 }
 
 // Digest packing: one uint64 per copy carries everything the update
@@ -214,18 +203,17 @@ const (
 
 // digestWord evaluates all of the sketch's hash functions at the
 // reduced element er and packs the outcome: bucket | secondLevelBits<<6.
-// Requires cfg.DigestPackable().
 func (x *Sketch) digestWord(er uint64) uint64 {
 	b := hashing.LSB(x.h.HashReduced(er), x.cfg.Buckets)
 	return uint64(b) | hashing.PackBits(x.g, er)<<digestBucketBits
 }
 
 // applyDigest replays a packed digest word: the total plus the side-1
-// counter of every set second-level bit, about s/2 additions. By
-// construction it touches exactly the counters updateReduced would.
-// The bits are masked to s so a malformed word cannot reach past the
-// bucket. (A branch-free add over all s lanes, c[j] += v & −bit,
-// measured slower than this set-bit walk.)
+// counter of every set second-level bit, about s/2 additions. It is the
+// one counter-apply loop: hashing updates go through it too. The bits
+// are masked to s so a malformed word cannot reach past the bucket. (A
+// branch-free add over all s lanes, c[j] += v & −bit, measured slower
+// than this set-bit walk.)
 func (x *Sketch) applyDigest(w uint64, v int64) {
 	b := int(w & digestBucketMask)
 	*x.dirty |= 1 << uint(b)

@@ -76,10 +76,9 @@ type Coordinator struct {
 	// (fence shared) can skip the whole view path with one load.
 	hasViews atomic.Bool
 
-	// dmu serializes the optional coordinator-side digest cache shared
-	// by all sessions' Appliers (SetDigestCache); two short critical
-	// sections per batch: probe and refill. nil dcache = cache off.
-	dmu    sync.Mutex
+	// dcache is the optional digest cache shared by every session's
+	// coalescer and by recovery's (SetDigestCache); it locks itself.
+	// nil = cache off.
 	dcache *ingest.DigestCache
 
 	// apool backs the one-off Coordinator.ApplyUpdates entry point;

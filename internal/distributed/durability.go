@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"setsketch/internal/core"
+	"setsketch/internal/ingest"
 	"setsketch/internal/obs"
 	"setsketch/internal/wal"
 )
@@ -72,8 +73,9 @@ func errDigestWidth(got, want int) error {
 	return fmt.Errorf("distributed: digest has %d words for %d copies", got, want)
 }
 
-// applyWALRecord applies one replayed record — the recovery-side twin
-// of the Apply* entry points, minus re-logging and watch triggers.
+// applyWALRecord applies one replayed record other than a raw update
+// batch (the replayer coalesces those) — the recovery-side twin of the
+// Apply* entry points, minus re-logging and watch triggers.
 // Replay is single-threaded, but it takes the same locks as the live
 // path so the lock discipline holds everywhere it is machine-checked.
 //
@@ -84,16 +86,6 @@ func (c *Coordinator) applyWALRecord(rec *wal.Record) error {
 	c.lockAllShards()
 	defer c.unlockAllShards()
 	switch rec.Type {
-	case wal.RecUpdates:
-		c.applyRawLocked(rec.Updates)
-		if c.hasViews.Load() {
-			c.vmu.Lock()
-			err := c.observeRawLocked(rec.Updates)
-			c.vmu.Unlock()
-			if err != nil {
-				return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-			}
-		}
 	case wal.RecDigests:
 		if err := c.replayDigestsLocked(rec.Digests); err != nil {
 			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
@@ -162,44 +154,21 @@ const replayFlushKeys = 1 << 16
 // and applies, bounding the miss slab it hashes into.
 const replayChunk = 1024
 
-// replayer coalesces the RecUpdates records of a replayed WAL suffix:
-// consecutive records accumulate one net delta per (stream, element),
-// and a flush resolves each key's digest once — through the digest
-// cache, hashing only the misses — and applies it. Counters are int64
-// sums, so the regrouping leaves every family bit-identical to
-// per-record replay; window views already take every replayed update
-// into the bucket current at replay time. It flushes before every
-// other record type, so deltas and catalog changes keep their log
-// position, at replayFlushKeys keys, and at the end of the suffix.
+// replayer folds the consecutive RecUpdates records of a replayed WAL
+// suffix through one ingest.Coalescer, and a flush resolves each key's
+// digest once — through the digest cache, hashing only the misses —
+// and applies it. Counters are int64 sums, so the regrouping leaves
+// every family bit-identical to per-record replay, and window views
+// already take every replayed update into the bucket current at replay
+// time. It flushes before every other record type, so deltas and
+// catalog changes keep their log position, at replayFlushKeys keys,
+// and at the end of the suffix.
 type replayer struct {
-	c       *Coordinator
-	a       *Applier // digest scratch and miss slab
-	idx     map[digKey]int
-	entries []wal.DigestUpdate
-	marks   []replayMark
-	seq     uint64 // last record folded in
+	c   *Coordinator
+	co  *ingest.Coalescer
+	seq uint64 // last record folded in
 
 	applied, misses uint64
-}
-
-// replayMark records whether the live path applied an entry at all. It
-// applies a batch's entry only when the batch's own net delta is
-// nonzero, and doing so creates the stream's family (and view group)
-// even if later batches cancel the entry; replay must create it too.
-type replayMark struct {
-	seq  uint64 // last record that touched the entry
-	net  int64  // the entry's net delta within that record
-	live bool   // an earlier record left a nonzero net delta
-}
-
-// newReplayer returns a recovery coalescer; with digest-unpackable
-// coins it coalesces nothing and every record replays on its own.
-func (c *Coordinator) newReplayer() *replayer {
-	r := &replayer{c: c, a: c.NewApplier()}
-	if c.coins.Config.DigestPackable() {
-		r.idx = make(map[digKey]int)
-	}
-	return r
 }
 
 // apply is the Replay callback. Each RecUpdates record still credits
@@ -207,28 +176,13 @@ func (c *Coordinator) newReplayer() *replayer {
 //
 //sketchvet:wal-exempt recovery replay applies already-logged records
 func (r *replayer) apply(rec *wal.Record) error {
-	if rec.Type != wal.RecUpdates || r.idx == nil {
+	if rec.Type != wal.RecUpdates {
 		if err := r.flush(); err != nil {
 			return err
 		}
 		return r.c.applyWALRecord(rec)
 	}
-	for _, u := range rec.Updates {
-		k := digKey{u.Stream, u.Elem}
-		i, ok := r.idx[k]
-		if !ok {
-			i = len(r.entries)
-			r.idx[k] = i
-			r.entries = append(r.entries, wal.DigestUpdate{Stream: u.Stream, Elem: u.Elem})
-			r.marks = append(r.marks, replayMark{seq: rec.Seq})
-		}
-		if m := &r.marks[i]; m.seq != rec.Seq {
-			m.live = m.live || m.net != 0
-			m.seq, m.net = rec.Seq, 0
-		}
-		r.marks[i].net += u.Delta
-		r.entries[i].Delta += u.Delta
-	}
+	r.co.Add(rec.Updates)
 	r.seq = rec.Seq
 	c := r.c
 	c.fence.RLock()
@@ -237,30 +191,23 @@ func (r *replayer) apply(rec *wal.Record) error {
 	c.creditLocked(rec.Site, rec.Count)
 	sh.mu.Unlock()
 	c.fence.RUnlock()
-	if len(r.entries) >= replayFlushKeys {
+	if r.co.Len() >= replayFlushKeys {
 		return r.flush()
 	}
 	return nil
 }
 
-// flush applies the coalesced entries the live path applied — nonzero
-// net deltas, and net-zero ones some record applied before a later
-// one cancelled them — in chunks of replayChunk, then empties the
-// coalescer.
+// flush resolves and applies the coalesced entries in chunks of
+// replayChunk, emptying the coalescer.
 //
 //sketchvet:wal-exempt recovery replay applies already-logged records
 func (r *replayer) flush() error {
-	kept := r.entries[:0]
-	for i, e := range r.entries {
-		if m := r.marks[i]; e.Delta != 0 || m.live || m.net != 0 {
-			kept = append(kept, e)
-		}
-	}
+	kept := r.co.Take()
 	c := r.c
 	for len(kept) > 0 {
 		chunk := kept[:min(len(kept), replayChunk)]
 		kept = kept[len(chunk):]
-		r.misses += uint64(r.a.resolve(chunk))
+		r.misses += uint64(r.co.Resolve(chunk))
 		c.fence.RLock()
 		c.lockAllShards()
 		err := c.replayDigestsLocked(chunk)
@@ -271,8 +218,6 @@ func (r *replayer) flush() error {
 		}
 		r.applied += uint64(len(chunk))
 	}
-	clear(r.idx)
-	r.entries, r.marks = r.entries[:0], r.marks[:0]
 	return nil
 }
 
@@ -311,7 +256,7 @@ func (c *Coordinator) Recover(l *wal.Log) (RecoveryStats, error) {
 		rs.SnapshotStreams = len(snap.Streams)
 	}
 	start := time.Now()
-	r := c.newReplayer()
+	r := &replayer{c: c, co: c.newCoalescer()}
 	rs.Replayed, err = l.Replay(from, r.apply)
 	if err == nil {
 		err = r.flush()

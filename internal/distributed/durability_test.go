@@ -132,13 +132,12 @@ func TestCoordinatorWALRecovery(t *testing.T) {
 }
 
 // TestApplyUpdatesDigestPathBitIdentical pins the live non-WAL raw
-// update path: with digest-packable coins, ApplyUpdates coalesces each
-// batch and pays the hash bill once through the shared digest kernel
-// (wal.DigestUpdates), and the resulting synopses must be
-// bit-identical to per-element direct updates.
+// update path: ApplyUpdates coalesces each batch and pays the hash bill
+// once through the shared batch digest kernel, and the resulting
+// synopses must be bit-identical to per-element direct updates.
 func TestApplyUpdatesDigestPathBitIdentical(t *testing.T) {
-	if !testCoins.Config.DigestPackable() {
-		t.Fatal("test coins must be digest-packable to cover the batched path")
+	if err := testCoins.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	c, _ := NewCoordinator(testCoins)
 	g, err := datagen.NewLoadGen(datagen.LoadSpec{

@@ -233,10 +233,14 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 			}
 			snapped = true
 			mixed(60)
-			stretchKeys := map[digKey]bool{}
+			type key struct {
+				stream string
+				elem   uint64
+			}
+			stretchKeys := map[key]bool{}
 			for i := 0; i < tc.stretch; i++ {
 				for _, u := range raw() {
-					stretchKeys[digKey{u.Stream, u.Elem}] = true
+					stretchKeys[key{u.Stream, u.Elem}] = true
 				}
 			}
 			mixed(20)

@@ -169,15 +169,15 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 // dominating the update volume then replay cached digests instead of
 // re-hashing every batch (coord_digest_cache_hits_total). Call it
 // after SetObservability — the cache binds the coord_digest_cache_*
-// counters at creation — and before the coordinator serves traffic. A
-// no-op for digest-unpackable coin shapes.
+// counters at creation — and before the coordinator serves traffic:
+// every Applier binds the cache when it is created.
 //
 //sketchvet:wal-exempt pre-traffic setup: wires a derived cache, mutates no recovered state
 func (c *Coordinator) SetDigestCache(n int) {
 	if n == 0 {
 		n = defaultCoordDigestCache
 	}
-	if n < 0 || !c.coins.Config.DigestPackable() {
+	if n < 0 {
 		c.dcache = nil
 		return
 	}

@@ -6,6 +6,7 @@ import (
 
 	"setsketch/internal/core"
 	"setsketch/internal/obs"
+	"setsketch/internal/wal"
 )
 
 // TestDigestCacheRetainsOnlyItsEntries installs one digest from each of
@@ -31,7 +32,7 @@ func TestDigestCacheRetainsOnlyItsEntries(t *testing.T) {
 			elems[i] = uint64(k*perSlab + i)
 		}
 		ds := fam.DigestBatch(elems)
-		c.Install(elems[0], ds[0])
+		c.install([]wal.DigestUpdate{{Elem: elems[0], Digest: ds[0]}}, []int{0})
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

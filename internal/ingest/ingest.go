@@ -4,15 +4,18 @@
 //
 // The paper's synopsis is r independent 2-level hash sketches per
 // stream, and an update ⟨i, e, ±v⟩ costs r·(s+1) counter additions —
-// by far the dominant cost of ingest. Because the copies are
-// independent and counter updates are commutative additions, copy
-// ranges owned by different workers touch disjoint storage: the hot
-// path needs no locks at all. The engine fans each batch of accepted
-// updates out to every worker; worker w applies the whole batch to its
-// own [lo_w, hi_w) copy shard via core.Family.UpdateRange. Synopsis
-// deltas (from other sites, merged by linearity) shard the same way
-// through core.Family.MergeRange, so merges and updates interleave
-// freely without quiescing the pipeline.
+// by far the dominant cost of ingest. The producer folds each batch of
+// accepted updates through a Coalescer (digest.go) into one net delta
+// per (stream, element), resolved to packed digests from the engine's
+// DigestCache (hashing only the misses), and fans the digest groups out
+// to every worker. Because the copies are independent and counter
+// updates are commutative additions, copy ranges owned by different
+// workers touch disjoint storage: the hot path needs no locks at all.
+// Worker w replays the whole batch on its own [lo_w, hi_w) copy shard
+// via core.Family.UpdateRangeBatchDigest. Synopsis deltas (from other
+// sites, merged by linearity) shard the same way through
+// core.Family.MergeRange, so merges and updates interleave freely
+// without quiescing the pipeline.
 //
 // A Drain barrier (a sentinel work item carrying a WaitGroup, enqueued
 // behind all outstanding batches on every worker's FIFO queue) gives
@@ -30,6 +33,7 @@ import (
 	"setsketch/internal/core"
 	"setsketch/internal/datagen"
 	"setsketch/internal/obs"
+	"setsketch/internal/wal"
 )
 
 // Options tunes the engine. The zero value selects sane defaults.
@@ -49,10 +53,8 @@ type Options struct {
 	// per-engine digest cache (rounded up to a power of two). Because
 	// every family in the engine is built from the same stored coins,
 	// one cache serves all streams. 0 selects the default (8192
-	// entries ≈ copies·8 bytes each); negative disables the digest
-	// path entirely, hashing every update in the workers as before.
-	// The digest path also disables itself when the configuration is
-	// not DigestPackable (SecondLevel > 58).
+	// entries ≈ copies·8 bytes each); negative means no cache: the
+	// producer batch-hashes every coalesced update.
 	DigestCache int
 	// Obs registers the engine's metrics (see OPERATIONS.md, "ingest_*")
 	// on this registry. nil disables export; the engine still counts
@@ -89,19 +91,18 @@ func (o Options) withDefaults(copies int) Options {
 	return o
 }
 
-// entry is one accepted update with its stream's family pre-resolved,
-// so workers never touch the stream map.
-type entry struct {
-	fam   *core.Family
-	elem  uint64
-	delta int64
+// digestGroup is one family's worth of coalesced, digest-resolved
+// updates, shaped for the workers' copy-major batch replay
+// (core.Family.UpdateRangeBatchDigest).
+type digestGroup struct {
+	fam    *core.Family
+	digs   []core.Digest
+	deltas []int64
 }
 
-// workItem is one unit handed to every worker: an update batch (raw
-// entries when the digest path is off, coalesced digest entries when it
-// is on), an optional delta merge, and/or a barrier to arm.
+// workItem is one unit handed to every worker: a coalesced update
+// batch, an optional delta merge, and/or a barrier to arm.
 type workItem struct {
-	entries []entry
 	groups  []digestGroup
 	target  *core.Family // merge target (nil if no merge)
 	delta   *core.Family // aligned delta to add into target
@@ -112,20 +113,13 @@ type worker struct {
 	lo, hi int
 	ch     chan workItem
 
-	batches *obs.Counter // work items carrying entries, applied by this worker
+	batches *obs.Counter // work items carrying updates, applied by this worker
 	applied *obs.Counter // updates applied to this worker's copy shard
 }
 
 func (w *worker) run(wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
 	for it := range w.ch {
-		if len(it.entries) > 0 {
-			for _, en := range it.entries {
-				en.fam.UpdateRange(w.lo, w.hi, en.elem, en.delta)
-			}
-			w.batches.Inc()
-			w.applied.Add(uint64(len(it.entries)))
-		}
 		if len(it.groups) > 0 {
 			// Digest replay: s+1 additions per copy in [lo, hi), no
 			// hashing — the digests were resolved by the producer. Each
@@ -212,17 +206,15 @@ type Engine struct {
 	met     metrics
 	log     *obs.Logger
 
-	// cache is the seed-keyed element-digest cache; nil when the digest
-	// path is disabled (Options.DigestCache < 0 or an unpackable shape).
-	// Only the producer side touches it.
-	// guarded by: mu
-	cache *DigestCache
-
 	mu sync.Mutex
 	// guarded by: mu
 	fams map[string]*core.Family
 	// guarded by: mu
-	pending []entry
+	pending []datagen.Update
+	// co folds each pending batch and resolves its digests through the
+	// engine's DigestCache (none when Options.DigestCache < 0).
+	// guarded by: mu
+	co *Coalescer
 	// guarded by: mu
 	accepted, merged uint64
 	// guarded by: mu
@@ -253,10 +245,12 @@ func New(cfg core.Config, seed uint64, copies int, opts Options) (*Engine, error
 		log:    opts.Log.Named("ingest"),
 		fams:   make(map[string]*core.Family),
 	}
-	if opts.DigestCache > 0 && cfg.DigestPackable() {
-		e.cache = NewDigestCache(opts.DigestCache, seed,
+	var cache *DigestCache
+	if opts.DigestCache > 0 {
+		cache = NewDigestCache(opts.DigestCache, seed,
 			e.met.cacheHits, e.met.cacheMisses, e.met.cacheEvictions)
 	}
+	e.co = NewCoalescer(cfg, seed, copies, cache)
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{
 			lo: i * copies / opts.Workers,
@@ -289,12 +283,8 @@ func New(cfg core.Config, seed uint64, copies int, opts Options) (*Engine, error
 			defer e.mu.Unlock()
 			return float64(len(e.fams))
 		})
-	cacheSlots := 0
-	if e.cache != nil {
-		cacheSlots = int(e.cache.mask) + 1
-	}
 	e.log.Debug("engine started", "workers", opts.Workers, "copies", copies,
-		"batch_size", opts.BatchSize, "queue_len", opts.QueueLen, "digest_cache", cacheSlots)
+		"batch_size", opts.BatchSize, "queue_len", opts.QueueLen, "digest_cache", max(opts.DigestCache, 0))
 	return e, nil
 }
 
@@ -343,50 +333,56 @@ func (e *Engine) broadcastLocked(it workItem) {
 	}
 }
 
-// flushPendingLocked ships the buffered partial batch, if any. With the
-// digest path on, the batch is first coalesced to net per-element
-// deltas and resolved to cached digests, so the workers replay pure
-// counter additions.
+// flushPendingLocked ships the buffered partial batch, if any. The
+// batch is coalesced to net per-element deltas and resolved to
+// digests, so the workers replay pure counter additions. The workers
+// replay after this returns, so the batch's miss slab is detached from
+// the coalescer and handed to them; cache hits are immutable already.
 // caller holds: mu
 func (e *Engine) flushPendingLocked() {
 	if len(e.pending) == 0 {
 		return
 	}
-	batch := e.pending
-	e.pending = make([]entry, 0, e.opts.BatchSize)
-	if e.cache != nil {
-		if groups := e.coalesceLocked(batch); len(groups) > 0 {
-			e.broadcastLocked(workItem{groups: groups})
-		}
-	} else {
-		e.broadcastLocked(workItem{entries: batch})
+	e.co.Add(e.pending)
+	kept := e.co.Take()
+	e.co.Resolve(kept)
+	e.co.Detach()
+	e.met.coalesced.Add(uint64(len(e.pending) - len(kept)))
+	e.pending = e.pending[:0]
+	if len(kept) > 0 {
+		e.broadcastLocked(workItem{groups: e.groupLocked(kept)})
 	}
 	e.met.batches.Inc()
+}
+
+// groupLocked splits a resolved batch into per-family digest groups
+// for copy-major replay, keeping first-touch order within each family.
+// caller holds: mu
+func (e *Engine) groupLocked(kept []wal.DigestUpdate) []digestGroup {
+	var groups []digestGroup
+	gidx := make(map[string]int, 4)
+	for _, en := range kept {
+		gi, ok := gidx[en.Stream]
+		if !ok {
+			gi = len(groups)
+			gidx[en.Stream] = gi
+			groups = append(groups, digestGroup{fam: e.fams[en.Stream]})
+		}
+		groups[gi].digs = append(groups[gi].digs, en.Digest)
+		groups[gi].deltas = append(groups[gi].deltas, en.Delta)
+	}
+	return groups
 }
 
 // Update accepts the stream update ⟨stream, e, ±v⟩. The update is
 // buffered and fanned out to the shard workers once a full batch has
 // accumulated (or at the next Drain/Flush/Snapshot barrier).
 func (e *Engine) Update(stream string, elem uint64, delta int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("ingest: engine is closed")
-	}
-	f, err := e.resolveLocked(stream)
-	if err != nil {
-		return err
-	}
-	e.pending = append(e.pending, entry{fam: f, elem: elem, delta: delta})
-	e.accepted++
-	e.met.accepted.Inc()
-	if len(e.pending) >= e.opts.BatchSize {
-		e.flushPendingLocked()
-	}
-	return nil
+	return e.UpdateBatch([]datagen.Update{{Stream: stream, Elem: elem, Delta: delta}})
 }
 
-// UpdateBatch accepts a slice of updates in one critical section.
+// UpdateBatch accepts a slice of updates in one critical section,
+// creating each stream's family on first touch.
 func (e *Engine) UpdateBatch(ups []datagen.Update) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -394,11 +390,10 @@ func (e *Engine) UpdateBatch(ups []datagen.Update) error {
 		return fmt.Errorf("ingest: engine is closed")
 	}
 	for _, u := range ups {
-		f, err := e.resolveLocked(u.Stream)
-		if err != nil {
+		if _, err := e.resolveLocked(u.Stream); err != nil {
 			return err
 		}
-		e.pending = append(e.pending, entry{fam: f, elem: u.Elem, delta: u.Delta})
+		e.pending = append(e.pending, u)
 		e.accepted++
 		e.met.accepted.Inc()
 		if len(e.pending) >= e.opts.BatchSize {

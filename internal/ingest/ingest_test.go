@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -292,17 +293,17 @@ func TestNewRejectsBadParameters(t *testing.T) {
 	}
 }
 
-// TestDigestPathMatchesDirect: the same workload through the digest
-// cache + coalescing path and through the raw per-worker hashing path
-// (DigestCache < 0) must produce bit-identical synopses, with a
-// deliberately tiny cache forcing evictions along the way.
+// TestDigestPathMatchesDirect: the same workload through the
+// coalescing path with no digest cache (DigestCache < 0), a tiny cache
+// forcing evictions, and the default cache must produce synopses
+// bit-identical to serial per-element ingest.
 func TestDigestPathMatchesDirect(t *testing.T) {
 	const seed, copies = 17, 13
 	ups := randomUpdates(23, 5000)
 	want := serialFamilies(t, seed, copies, ups)
 
 	for _, opts := range []Options{
-		{Workers: 3, BatchSize: 32, DigestCache: -1},  // digest path off
+		{Workers: 3, BatchSize: 32, DigestCache: -1},  // no cache
 		{Workers: 3, BatchSize: 32, DigestCache: 16},  // thrashing cache
 		{Workers: 3, BatchSize: 500, DigestCache: 0},  // default cache
 		{Workers: 1, BatchSize: 1, DigestCache: 1024}, // degenerate batches
@@ -360,35 +361,17 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestDigestCacheDisabledForUnpackableShape: shapes with s > 58 must
-// quietly fall back to the hashing path.
+// TestDigestCacheDisabledForUnpackableShape: there is no per-element
+// fallback for shapes with s > 58 any more; ingest.New rejects them, so
+// every engine it builds runs on the digest path.
 func TestDigestCacheDisabledForUnpackableShape(t *testing.T) {
 	wide := core.Config{Buckets: 32, SecondLevel: 64, FirstWise: 4}
-	ups := randomUpdates(3, 400)
 	e, err := New(wide, 2, 4, Options{Workers: 2, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		e.Close()
+		t.Fatal("ingest.New accepted s = 64")
 	}
-	defer e.Close()
-	if e.cache != nil {
-		t.Fatal("digest cache built for an unpackable shape")
-	}
-	if err := e.UpdateBatch(ups); err != nil {
-		t.Fatal(err)
-	}
-	got := e.Snapshot()
-	fams := make(map[string]*core.Family)
-	for _, u := range ups {
-		f, ok := fams[u.Stream]
-		if !ok {
-			f, _ = core.NewFamily(wide, 2, 4)
-			fams[u.Stream] = f
-		}
-		f.Update(u.Elem, u.Delta)
-	}
-	for name, f := range fams {
-		if !f.Equal(got[name]) {
-			t.Errorf("stream %q differs on the fallback path", name)
-		}
+	if !strings.Contains(err.Error(), "exceeds 58") {
+		t.Fatalf("ingest.New at s = 64 gave %v, want an error naming the cap of 58", err)
 	}
 }

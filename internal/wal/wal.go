@@ -496,12 +496,11 @@ func (l *Log) BuildUpdates(site string, ups []datagen.Update) *Record {
 // digest through fam's batch kernel (one copy-major pass instead of a
 // full hash-constant sweep per element — see core.Family.DigestBatch).
 // It is the reference form of the batch-amortized update path, which
-// the coordinator's Applier mirrors with session-owned buffers, and of
-// the RecDigests entries older binaries logged. The caller owns fam and
-// its locking, and must have checked that fam's config is
-// DigestPackable. Applying the returned entries in order is exactly
-// equivalent to applying ups in order, by linearity of the sketch
-// counters.
+// ingest.Coalescer implements with reused buffers and a digest cache
+// (FuzzCoalesce pins the two entry for entry), and of the RecDigests
+// entries older binaries logged. The caller owns fam and its locking.
+// Applying the returned entries in order is exactly equivalent to
+// applying ups in order, by linearity of the sketch counters.
 func DigestUpdates(fam *core.Family, ups []datagen.Update) []DigestUpdate {
 	type key struct {
 		stream string

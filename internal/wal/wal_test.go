@@ -22,13 +22,6 @@ func testOptions() Options {
 	return Options{Config: cfg, Seed: 0x5eed, Copies: 4}
 }
 
-// rawOptions is a non-packable shape (s > 58): digests cannot be
-// packed, and batches are logged raw like under any other coins.
-func rawOptions() Options {
-	cfg := core.Config{Buckets: 16, SecondLevel: 60, FirstWise: 3}
-	return Options{Config: cfg, Seed: 0x5eed, Copies: 4}
-}
-
 func mustOpen(t *testing.T, dir string, opts Options) *Log {
 	t.Helper()
 	l, err := Open(dir, opts)
@@ -149,13 +142,16 @@ func TestDigestReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestRawRecordsWhenNotPackable: batches are logged raw under every
+// valid shape (s > 58 is no longer one), so a record keeps each update
+// and its stream through the log's stream table.
 func TestRawRecordsWhenNotPackable(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, rawOptions())
+	l := mustOpen(t, dir, testOptions())
 	defer l.Close()
 	rec := l.BuildUpdates("site1", testUpdates(4, 0))
 	if rec.Type != RecUpdates || len(rec.Updates) != 4 {
-		t.Fatalf("non-packable coins should log raw updates, got type %d with %d updates",
+		t.Fatalf("update batches should be logged raw, got type %d with %d updates",
 			rec.Type, len(rec.Updates))
 	}
 	if _, err := l.Append(rec); err != nil {

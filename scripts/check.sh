@@ -25,9 +25,10 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# The digest cache and batch coalescing live on the producer side of
-# the ingest engine's mutex, the distributed layer drives the same
-# engine from network goroutines, and the cq engine's window/group
+# Batch coalescing lives on the producer side of the ingest engine's
+# mutex, the digest cache is shared by every coordinator session under
+# its own lock, the distributed layer drives the same engine from
+# network goroutines, and the cq engine's window/group
 # state is mutated under the coordinator lock while watch rounds read
 # it; run those packages under the race detector twice more with fresh
 # schedules so the contended paths get extra interleavings in tier-1.
@@ -65,6 +66,12 @@ echo "== go test -run=NONE -fuzz=FuzzDigestEquivalence -fuzztime=10s ./internal/
 go test -run=NONE -fuzz=FuzzDigestEquivalence -fuzztime=10s ./internal/core
 echo "== go test -run=NONE -fuzz=FuzzReadFamily -fuzztime=10s ./internal/core"
 go test -run=NONE -fuzz=FuzzReadFamily -fuzztime=10s ./internal/core
+# Every raw update batch — in the ingest engine, in each coordinator
+# session, in WAL recovery — is folded by ingest.Coalescer; ten seconds
+# against the reference fold (wal.DigestUpdates) and direct
+# per-element updates, with and without a digest cache.
+echo "== go test -run=NONE -fuzz=FuzzCoalesce -fuzztime=10s ./internal/ingest"
+go test -run=NONE -fuzz=FuzzCoalesce -fuzztime=10s ./internal/ingest
 # The session codec is the first code a peer's bytes reach: the update
 # batch and delta decoders must reject any payload they cannot parse
 # without panicking, and round-trip whatever they accept exactly.
