@@ -293,7 +293,8 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 // TestViewCatalogSurvivesCrash: continuous views registered over the
 // wire must survive kill -9 — the catalog rides the WAL (RecView
 // records plus the snapshot's view list) and recovery re-registers it,
-// after which the views evaluate over the replayed updates.
+// after which the views evaluate over the replayed updates: the
+// all-time view exactly as the ad-hoc query of its expression.
 func TestViewCatalogSurvivesCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs the test binary; skipped in -short")
@@ -326,6 +327,7 @@ func TestViewCatalogSurvivesCrash(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ups = append(ups,
 			datagen.Update{Stream: "A", Elem: uint64(i), Delta: 1},
+			datagen.Update{Stream: "B", Elem: uint64(i + 250), Delta: 1},
 			datagen.Update{Stream: "acme:logins", Elem: uint64(i), Delta: 1})
 	}
 	if _, err := sess.SendUpdates(ups); err != nil {
@@ -360,7 +362,12 @@ func TestViewCatalogSurvivesCrash(t *testing.T) {
 	}
 
 	// The recovered views evaluate over the replayed updates: the
-	// ungrouped view sees stream A, the grouped view its acme group.
+	// ungrouped view sees streams A and B, the grouped view its acme
+	// group.
+	adhoc, err := cli2.Query("A | B", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	events, err := cli2.Subscribe(distributed.WatchRequest{
 		Views: []string{"total", "per"}, Eps: 0.2, EveryUpdates: 1, Interval: 50 * time.Millisecond,
 	})
@@ -387,8 +394,8 @@ func TestViewCatalogSurvivesCrash(t *testing.T) {
 			t.Fatalf("timed out waiting for view rounds (seen %v)", seen)
 		}
 	}
-	if seen["total"] <= 0 || seen["per:acme"] <= 0 {
-		t.Errorf("recovered views estimate nothing: %v", seen)
+	if seen["total"] != adhoc.Value || seen["per:acme"] <= 0 {
+		t.Errorf("recovered views %v, ad-hoc A | B = %v", seen, adhoc.Value)
 	}
 }
 

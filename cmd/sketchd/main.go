@@ -146,8 +146,8 @@ type daemon struct {
 	done   chan error
 
 	wlog *wal.Log
-	snap *distributed.Snapshotter
-	rot  *distributed.ViewRotator
+	snap *distributed.Periodic
+	rot  *distributed.Periodic
 	log  *obs.Logger
 }
 
@@ -338,7 +338,7 @@ func runServe(args []string) error {
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always, never, or an interval like 100ms")
 	segSize := fs.Int64("segment-size", 16<<20, "rotate WAL segments at this many bytes")
 	snapInterval := fs.Duration("snapshot-interval", time.Minute, "write a state snapshot this often so recovery replays only a short WAL suffix (0 disables periodic snapshots)")
-	cqMaxGroups := fs.Int("cq-max-groups", 0, "live groups per grouped continuous view before LRU eviction (0 = default 4096, negative = unbounded)")
+	cqMaxGroups := fs.Int("cq-max-groups", 0, "live groups per windowed grouped continuous view before LRU eviction (0 = default 4096, negative = unbounded)")
 	cqGroupSep := fs.String("cq-group-sep", "", "separator splitting physical stream names into group:logical for GROUP BY views (default \":\")")
 	cqRotate := fs.Duration("cq-rotate-interval", time.Second, "sweep windowed continuous views this often so idle views still age out buckets (0 disables the sweep)")
 	shards := fs.Int("shards", 0, "lock-striped coordinator state shards, rounded up to a power of two (0 = GOMAXPROCS-derived default, 1 = unsharded layout)")

@@ -8,7 +8,6 @@ import (
 
 	"setsketch"
 	"setsketch/internal/core"
-	"setsketch/internal/cq"
 	"setsketch/internal/datagen"
 	"setsketch/internal/distributed"
 	"setsketch/internal/expr"
@@ -16,10 +15,11 @@ import (
 
 // TestWideQueryEndToEnd runs one expression over 65 streams — one more
 // than the compiled program's occupancy word holds — through every
-// production query path: Coordinator.Estimate, a watch, CREATE VIEW
-// plus Evaluate, and Processor.RegisterContinuous. Each path builds its
-// own families from the same updates and coins, so each answer must
-// equal the interpreted reference over families built here, exactly.
+// production query path: Coordinator.Estimate, a watch, a watched
+// CREATE VIEW, and Processor.RegisterContinuous. The coordinator and
+// the processor each build their own families from the same updates
+// and coins, so each answer must equal the interpreted reference over
+// families built here, exactly.
 func TestWideQueryEndToEnd(t *testing.T) {
 	const streams, copies, seed, eps = 65, 32, 9, 0.2
 	cfg := core.Config{Buckets: core.DefaultConfig().Buckets, SecondLevel: 8, FirstWise: 8}
@@ -87,27 +87,21 @@ func TestWideQueryEndToEnd(t *testing.T) {
 		t.Error("watch: no round delivered")
 	}
 
-	eng, err := cq.NewEngine(cq.Options{NewFamily: coins.NewFamily})
+	// An all-time view created after the traffic reads the
+	// coordinator's families, so it sees the whole history.
+	if _, err := coord.CreateView("CREATE VIEW wide AS " + src); err != nil {
+		t.Fatal(err)
+	}
+	vw, err := coord.Watch(distributed.WatchSpec{Views: []string{"wide"}, Eps: eps, EveryUpdates: 1 << 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cq.ParseStatement("CREATE VIEW wide AS " + src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := eng.Register(*st.Create)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range ups {
-		if err := eng.Observe(u.Stream, u.Elem, u.Delta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res := eng.Evaluate(v, eps, core.EstimateOptions{}); len(res) != 1 || res[0].Err != "" {
+	defer vw.Close()
+	coord.Tick()
+	if res := <-vw.C; res.View != "wide" || res.Err != "" {
 		t.Errorf("view: %+v", res)
 	} else {
-		check("view", res[0].Est, nil)
+		check("view", res.Est, nil)
 	}
 
 	p, err := setsketch.NewProcessor(setsketch.Options{Copies: copies, SecondLevel: cfg.SecondLevel, FirstWise: cfg.FirstWise, Seed: seed})

@@ -17,9 +17,10 @@ type Options struct {
 	// coordinator's stored coins (required): every bucket and group
 	// family must merge and digest-apply against the same coins.
 	NewFamily func() (*core.Family, error)
-	// MaxGroups bounds the live groups of each grouped view; past it
-	// the least-recently-updated group is evicted. 0 selects the
-	// default (4096); negative disables the bound.
+	// MaxGroups bounds the live groups of each windowed grouped view;
+	// past it the least-recently-updated group is evicted. 0 selects
+	// the default (4096); negative disables the bound. All-time groups
+	// hold no state of their own, so nothing bounds them.
 	MaxGroups int
 	// GroupSep splits a physical stream name into ⟨group, logical⟩ for
 	// grouped views ("acme:logins" → group "acme", logical "logins").
@@ -62,7 +63,7 @@ type engineMetrics struct {
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	return engineMetrics{
 		updates: reg.Counter("cq_view_updates_total",
-			"Stream updates routed into continuous-view window/group state."),
+			"Stream updates routed into windowed-view ring state."),
 		windowRotations: reg.Counter("cq_window_rotations_total",
 			"Window ring bucket advances across all views and groups."),
 		windowEvictions: reg.Counter("cq_window_evictions_total",
@@ -72,31 +73,34 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	}
 }
 
-// Engine holds the continuous-view catalog and all window/group sketch
-// state. It does no locking: the embedding coordinator calls every
-// mutating method (Register, Drop, Observe*, MergeDelta, Rotate*)
-// under its state write lock and the read-only ones (Evaluate, Specs,
-// counters) under at least a read lock.
+// Engine holds the continuous-view catalog and the ring state of
+// windowed views. An all-time view holds no state: the linear synopsis
+// of a stream's whole history is the embedder's own family for it, so
+// EvaluateFamilies reads those. The engine does no locking: the
+// embedding coordinator calls every mutating method (Register, Drop,
+// ObserveDigest, MergeDelta, RotateAll) under its view write lock and
+// the read-only ones (Evaluate, Specs, counters) under at least a read
+// lock.
 type Engine struct {
 	opts Options
 	met  engineMetrics
 	log  *obs.Logger
 
 	views map[string]*View
-	// routes caches physical stream → observation targets; rebuilt
-	// lazily after any Register/Drop. Its keys mirror the
+	// routes caches physical stream → windowed observation targets;
+	// rebuilt lazily after any Register/Drop. Its keys mirror the
 	// coordinator's stream map, so it is bounded by the same
 	// cardinality.
 	routes map[string][]route
-	// empty backs Evaluate's missing-stream backfill: a referenced
-	// stream with no in-window state is an empty set, not an error
-	// (after eviction the two are indistinguishable anyway). Estimation
-	// is read-only, so one shared instance serves every view.
+	// empty backs the missing-stream backfill: a referenced stream with
+	// no state is an empty set, not an error (after eviction, or before
+	// a group's first update to it, the two are indistinguishable).
+	// Estimation is read-only, so one shared instance serves every view.
 	empty *core.Family
 }
 
 // route is one resolved observation target: updates to a physical
-// stream feed view v's group as logical stream logical.
+// stream feed windowed view v's group as logical stream logical.
 type route struct {
 	v       *View
 	group   string
@@ -133,16 +137,18 @@ func (e *Engine) SetObservability(reg *obs.Registry, log *obs.Logger) {
 func (e *Engine) Now() time.Time { return e.opts.Now() }
 
 // View is one registered continuous view: its spec, compiled query,
-// and keyed window state. All fields are engine-lock-domain state.
+// and, when windowed, keyed ring state. spec, q and the stream lists
+// never change after Register; groups and version are engine-lock-domain
+// state.
 type View struct {
 	spec      ViewSpec
 	q         *core.Query
 	streams   []string // sorted logical streams the expression reads
 	streamSet map[string]struct{}
-	groups    *Groups
-	// version stamps content-visible changes (observations, non-empty
-	// evictions, group evictions) so watchers can skip rounds whose
-	// window contents cannot have changed.
+	groups    *Groups // stays empty for all-time views
+	// version stamps content-visible changes of a windowed view
+	// (observations, non-empty evictions, group evictions) so watchers
+	// can skip rounds whose window contents cannot have changed.
 	version uint64
 }
 
@@ -154,11 +160,6 @@ func (v *View) Version() uint64 { return v.version }
 
 // Streams returns the logical streams the view's expression reads.
 func (v *View) Streams() []string { return append([]string(nil), v.streams...) }
-
-// newRing mints one group's ring for this view.
-func (v *View) newRing(e *Engine) *Ring {
-	return NewRing(v.spec, e.opts.Now(), e.opts.NewFamily)
-}
 
 // Register adds a view to the catalog. The spec is validated (and its
 // expression canonicalized); a name collision is an error.
@@ -191,11 +192,11 @@ func (e *Engine) Register(spec ViewSpec) (*View, error) {
 		max = 0 // single implicit group, never evicted
 	}
 	v.groups = newGroups(max)
-	if !spec.Grouped() {
+	if spec.Windowed() && !spec.Grouped() {
 		// Eager implicit group so evaluation always yields one result
 		// row (estimate 0 before any update), never an empty set of
 		// groups.
-		v.groups.Touch("", func() *Ring { return v.newRing(e) })
+		v.groups.Touch("", func() *Ring { return NewRing(spec, e.opts.Now(), e.opts.NewFamily) })
 	}
 	e.views[spec.Name] = v
 	e.routes = make(map[string][]route)
@@ -242,34 +243,45 @@ func (e *Engine) Statements() []string {
 	return out
 }
 
-// route resolves a physical stream's observation targets, caching the
-// answer. Ungrouped views match the stream name exactly; grouped views
-// match "⟨group⟩⟨sep⟩⟨logical⟩" where logical is one of the view's
-// streams. Route order is deterministic (views sorted by name).
+// match reports which group of view v a physical stream feeds, and as
+// which logical stream. Ungrouped views match the stream name exactly;
+// grouped views match "⟨group⟩⟨sep⟩⟨logical⟩" where logical is one of
+// the view's streams. It is the one split rule of windowed routing and
+// all-time group enumeration.
+func (e *Engine) match(v *View, stream string) (group, logical string, ok bool) {
+	if !v.spec.Grouped() {
+		_, ok = v.streamSet[stream]
+		return "", stream, ok
+	}
+	i := strings.Index(stream, e.opts.GroupSep)
+	if i <= 0 {
+		return "", "", false
+	}
+	group, logical = stream[:i], stream[i+len(e.opts.GroupSep):]
+	_, ok = v.streamSet[logical]
+	return group, logical, ok
+}
+
+// route resolves a physical stream's windowed observation targets,
+// caching the answer. Route order is deterministic (views sorted by
+// name). All-time views are never targets: they read the embedder's
+// families instead.
 func (e *Engine) route(stream string) []route {
 	if rts, ok := e.routes[stream]; ok {
 		return rts
 	}
-	group, logical := "", ""
-	if i := strings.Index(stream, e.opts.GroupSep); i > 0 {
-		group, logical = stream[:i], stream[i+len(e.opts.GroupSep):]
-	}
 	names := make([]string, 0, len(e.views))
-	for n := range e.views {
-		names = append(names, n)
+	for n, v := range e.views {
+		if v.spec.Windowed() {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	rts := []route{}
 	for _, n := range names {
 		v := e.views[n]
-		if v.spec.Grouped() {
-			if logical != "" {
-				if _, ok := v.streamSet[logical]; ok {
-					rts = append(rts, route{v: v, group: group, logical: logical})
-				}
-			}
-		} else if _, ok := v.streamSet[stream]; ok {
-			rts = append(rts, route{v: v, group: "", logical: stream})
+		if group, logical, ok := e.match(v, stream); ok {
+			rts = append(rts, route{v: v, group: group, logical: logical})
 		}
 	}
 	e.routes[stream] = rts
@@ -279,7 +291,7 @@ func (e *Engine) route(stream string) []route {
 // target resolves one route to its group's ring, rotating it to now,
 // touching group recency, and accounting evictions.
 func (e *Engine) target(rt route, now time.Time) *Ring {
-	st, evicted := rt.v.groups.Touch(rt.group, func() *Ring { return rt.v.newRing(e) })
+	st, evicted := rt.v.groups.Touch(rt.group, func() *Ring { return NewRing(rt.v.spec, e.opts.Now(), e.opts.NewFamily) })
 	if len(evicted) > 0 {
 		e.met.groupEvictions.Add(uint64(len(evicted)))
 		rt.v.version++
@@ -303,26 +315,9 @@ func (e *Engine) rotate(v *View, r *Ring, now time.Time) {
 	}
 }
 
-// Observe routes one raw update into every interested view's current
-// bucket. Streams no view reads cost one cache lookup.
-func (e *Engine) Observe(stream string, elem uint64, delta int64) error {
-	rts := e.route(stream)
-	if len(rts) == 0 {
-		return nil
-	}
-	now := e.opts.Now()
-	for _, rt := range rts {
-		if err := e.target(rt, now).Observe(rt.logical, elem, delta); err != nil {
-			return err
-		}
-		rt.v.version++
-		e.met.updates.Inc()
-	}
-	return nil
-}
-
-// ObserveDigest routes one digest-packed update (the WAL/ingest fast
-// path: the hash bill was already paid once).
+// ObserveDigest routes one digest-packed update into every interested
+// windowed view's current bucket (the hash bill was already paid
+// once). Streams no windowed view reads cost one cache lookup.
 func (e *Engine) ObserveDigest(stream string, d core.Digest, delta int64) error {
 	rts := e.route(stream)
 	if len(rts) == 0 {
@@ -340,7 +335,7 @@ func (e *Engine) ObserveDigest(stream string, d core.Digest, delta int64) error 
 }
 
 // MergeDelta routes one site-sketched synopsis delta, merged by
-// linearity into every interested view's current bucket.
+// linearity into every interested windowed view's current bucket.
 func (e *Engine) MergeDelta(stream string, fam *core.Family) error {
 	rts := e.route(stream)
 	if len(rts) == 0 {
@@ -362,9 +357,6 @@ func (e *Engine) MergeDelta(stream string, fam *core.Family) error {
 // age (and their watchers still see version changes).
 func (e *Engine) RotateAll(now time.Time) {
 	for _, v := range e.views {
-		if !v.spec.Windowed() {
-			continue
-		}
 		v.groups.each(func(st *groupState) { e.rotate(v, st.ring, now) })
 	}
 }
@@ -379,56 +371,85 @@ type GroupResult struct {
 	Err   string
 }
 
-// Evaluate estimates a view's expression for every live group, in
-// sorted group order. It is read-only on engine state (rotation
-// happens in the mutation/tick paths), so the embedder may run it
-// under a read lock. Per-group errors (typically a group that has not
-// yet seen every referenced stream) are reported in-band.
+// Evaluate estimates a windowed view's expression for every live
+// group, in sorted group order; an all-time view has no live groups
+// here (see EvaluateFamilies). It is read-only on engine state
+// (rotation happens in the mutation/tick paths), so the embedder may
+// run it under a read lock. Per-group errors are reported in-band.
 func (e *Engine) Evaluate(v *View, eps float64, opts core.EstimateOptions) []GroupResult {
 	keys := v.groups.Keys()
 	out := make([]GroupResult, 0, len(keys))
 	for _, k := range keys {
-		st := v.groups.Get(k)
-		res := GroupResult{Group: k}
-		fams, err := st.ring.Merged()
-		if err == nil {
-			// A referenced stream absent from the window is an empty
-			// set — aged-out and never-seen are indistinguishable once
-			// the bucket that held it is gone. Backfill into a copy:
-			// Merged may alias live bucket state.
-			missing := 0
-			for _, name := range v.streams {
-				if _, ok := fams[name]; !ok {
-					missing++
-				}
-			}
-			if missing > 0 {
-				filled := make(map[string]*core.Family, len(fams)+missing)
-				for name, f := range fams {
-					filled[name] = f
-				}
-				for _, name := range v.streams {
-					if _, ok := filled[name]; !ok {
-						filled[name] = e.empty
-					}
-				}
-				fams = filled
-			}
-		}
-		if err == nil {
-			res.Est, err = v.q.Estimate(fams, eps, true, opts)
-		}
+		fams, err := v.groups.Get(k).ring.Merged()
 		if err != nil {
-			res.Err = err.Error()
+			out = append(out, GroupResult{Group: k, Err: err.Error()})
+			continue
 		}
-		out = append(out, res)
+		out = append(out, e.estimate(v, k, fams, eps, opts))
 	}
 	return out
 }
 
+// EvaluateFamilies estimates an all-time view over the embedder's
+// stream families, keyed by physical stream name — the synopses of
+// every update each stream has seen. An ungrouped view yields one
+// result; a grouped view yields one per group that has a stream the
+// view reads, in sorted group order. It reads only state that never
+// changes after Register, so the embedder may call it without the
+// engine lock, holding whatever keeps fams stable.
+func (e *Engine) EvaluateFamilies(v *View, fams map[string]*core.Family, eps float64, opts core.EstimateOptions) []GroupResult {
+	if !v.spec.Grouped() {
+		return []GroupResult{e.estimate(v, "", fams, eps, opts)}
+	}
+	groups := make(map[string]map[string]*core.Family)
+	for name, f := range fams {
+		if group, logical, ok := e.match(v, name); ok {
+			if groups[group] == nil {
+				groups[group] = make(map[string]*core.Family, len(v.streams))
+			}
+			groups[group][logical] = f
+		}
+	}
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]GroupResult, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, e.estimate(v, k, groups[k], eps, opts))
+	}
+	return out
+}
+
+// estimate is the one evaluation body of a view group, windowed or
+// all-time: a referenced stream absent from fams is backfilled as the
+// empty set, then the view's compiled query runs. The backfill goes
+// into a new map, because fams may be live state.
+func (e *Engine) estimate(v *View, group string, fams map[string]*core.Family, eps float64, opts core.EstimateOptions) GroupResult {
+	for _, name := range v.streams {
+		if fams[name] == nil {
+			filled := make(map[string]*core.Family, len(v.streams))
+			for _, name := range v.streams {
+				if filled[name] = fams[name]; filled[name] == nil {
+					filled[name] = e.empty
+				}
+			}
+			fams = filled
+			break
+		}
+	}
+	est, err := v.q.Estimate(fams, eps, true, opts)
+	res := GroupResult{Group: group, Est: est}
+	if err != nil {
+		res.Err = err.Error()
+	}
+	return res
+}
+
 // Counts reports catalog-wide totals for the embedder's gauges:
 // registered views, live (non-empty) window buckets, and live groups
-// of grouped views.
+// of windowed grouped views.
 func (e *Engine) Counts() (views, buckets, groups int) {
 	views = len(e.views)
 	for _, v := range e.views {

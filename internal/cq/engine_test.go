@@ -81,14 +81,14 @@ func TestEngineRegisterDrop(t *testing.T) {
 func TestEngineUngroupedObserveEvaluate(t *testing.T) {
 	clk := newFakeClock()
 	e := testEngine(t, clk, 0)
-	v := register(t, e, "CREATE VIEW v AS a | b")
+	v := register(t, e, "CREATE VIEW v AS a | b WINDOW 5m SLIDE 1m")
 
 	for i := 0; i < 500; i++ {
 		stream := "a"
 		if i%2 == 0 {
 			stream = "b"
 		}
-		if err := e.Observe(stream, uint64(i%300), 1); err != nil {
+		if err := observe(e, stream, uint64(i%300), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,9 +123,9 @@ func TestEngineUngroupedObserveEvaluate(t *testing.T) {
 // same thing.
 func TestEngineMissingStreamIsEmptySet(t *testing.T) {
 	e := testEngine(t, newFakeClock(), 0)
-	v := register(t, e, "CREATE VIEW v AS a & b")
+	v := register(t, e, "CREATE VIEW v AS a & b WINDOW 5m SLIDE 1m")
 	for i := 0; i < 50; i++ {
-		if err := e.Observe("a", uint64(i), 1); err != nil {
+		if err := observe(e, "a", uint64(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,10 +138,10 @@ func TestEngineMissingStreamIsEmptySet(t *testing.T) {
 	}
 	// The backfill must never leak the shared empty family into live
 	// bucket state: observing b afterwards starts from true empty.
-	if err := e.Observe("b", 1, 1); err != nil {
+	if err := observe(e, "b", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Observe("b", 1, -1); err != nil {
+	if err := observe(e, "b", 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	res = e.Evaluate(v, 0.1, core.EstimateOptions{})
@@ -165,24 +165,24 @@ func TestEngineMissingStreamIsEmptySet(t *testing.T) {
 func TestEngineGroupRouting(t *testing.T) {
 	clk := newFakeClock()
 	e := testEngine(t, clk, 0)
-	v := register(t, e, "CREATE VIEW v AS logins GROUP BY tenant")
+	v := register(t, e, "CREATE VIEW v AS logins WINDOW 5m SLIDE 1m GROUP BY tenant")
 
 	for i := 0; i < 100; i++ {
-		if err := e.Observe("acme:logins", uint64(i), 1); err != nil {
+		if err := observe(e, "acme:logins", uint64(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		if err := e.Observe("globex:logins", uint64(i), 1); err != nil {
+		if err := observe(e, "globex:logins", uint64(i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Streams no view reads, wrong logical names, and bare names must
 	// not create groups.
-	if err := e.Observe("acme:payments", 1, 1); err != nil {
+	if err := observe(e, "acme:payments", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Observe("logins", 1, 1); err != nil {
+	if err := observe(e, "logins", 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	res := e.Evaluate(v, 0.1, core.EstimateOptions{})
@@ -202,13 +202,13 @@ func TestEngineGroupRouting(t *testing.T) {
 func TestEngineGroupEvictionLRU(t *testing.T) {
 	clk := newFakeClock()
 	e := testEngine(t, clk, 2)
-	v := register(t, e, "CREATE VIEW v AS s GROUP BY k")
+	v := register(t, e, "CREATE VIEW v AS s WINDOW 5m SLIDE 1m GROUP BY k")
 
 	ev0 := e.met.groupEvictions.Value()
-	e.Observe("g1:s", 1, 1)
-	e.Observe("g2:s", 2, 1)
-	e.Observe("g1:s", 3, 1) // refresh g1: g2 is now least recent
-	e.Observe("g3:s", 4, 1) // evicts g2
+	observe(e, "g1:s", 1, 1)
+	observe(e, "g2:s", 2, 1)
+	observe(e, "g1:s", 3, 1) // refresh g1: g2 is now least recent
+	observe(e, "g3:s", 4, 1) // evicts g2
 	if got := e.met.groupEvictions.Value() - ev0; got != 1 {
 		t.Fatalf("evictions %d", got)
 	}
@@ -217,7 +217,7 @@ func TestEngineGroupEvictionLRU(t *testing.T) {
 		t.Fatalf("live groups %+v", res)
 	}
 	// A reappearing key starts from empty state.
-	e.Observe("g2:s", 9, 1)
+	observe(e, "g2:s", 9, 1)
 	res = e.Evaluate(v, 0.1, core.EstimateOptions{})
 	var g2 *GroupResult
 	for i := range res {
@@ -239,7 +239,7 @@ func TestEngineVersionStamps(t *testing.T) {
 	v := register(t, e, "CREATE VIEW v AS a WINDOW 3m SLIDE 1m")
 
 	v0 := v.Version()
-	e.Observe("a", 1, 1)
+	observe(e, "a", 1, 1)
 	if v.Version() == v0 {
 		t.Fatal("observe did not bump version")
 	}
@@ -263,7 +263,7 @@ func TestEngineRotateAllEvicts(t *testing.T) {
 	clk := newFakeClock()
 	e := testEngine(t, clk, 0)
 	v := register(t, e, "CREATE VIEW v AS a WINDOW 2m SLIDE 1m")
-	e.Observe("a", 7, 1)
+	observe(e, "a", 7, 1)
 
 	res := e.Evaluate(v, 0.1, core.EstimateOptions{})
 	if res[0].Err != "" || res[0].Est.Value == 0 {
@@ -284,11 +284,11 @@ func TestEngineCounts(t *testing.T) {
 	clk := newFakeClock()
 	e := testEngine(t, clk, 0)
 	register(t, e, "CREATE VIEW v1 AS a WINDOW 5m SLIDE 1m")
-	register(t, e, "CREATE VIEW v2 AS s GROUP BY k")
+	register(t, e, "CREATE VIEW v2 AS s WINDOW 5m SLIDE 1m GROUP BY k")
 
-	e.Observe("a", 1, 1)
-	e.Observe("t1:s", 1, 1)
-	e.Observe("t2:s", 1, 1)
+	observe(e, "a", 1, 1)
+	observe(e, "t1:s", 1, 1)
+	observe(e, "t2:s", 1, 1)
 
 	views, buckets, groups := e.Counts()
 	if views != 2 {
@@ -307,8 +307,8 @@ func TestEngineMetricsCounters(t *testing.T) {
 	e := testEngine(t, clk, 0)
 	register(t, e, "CREATE VIEW v AS a WINDOW 2m SLIDE 1m")
 
-	e.Observe("a", 1, 1)
-	e.Observe("a", 2, 1)
+	observe(e, "a", 1, 1)
+	observe(e, "a", 2, 1)
 	if got := e.met.updates.Value(); got != 2 {
 		t.Fatalf("cq_view_updates_total %d", got)
 	}
@@ -341,7 +341,7 @@ func TestEngineGroupedWindowDifferential(t *testing.T) {
 		}
 		u := timedUpdate{at: clk.Now(), stream: "s", elem: uint64(i % 53), delta: 1}
 		byGroup[g] = append(byGroup[g], u)
-		if err := e.Observe(g+":s", u.elem, u.delta); err != nil {
+		if err := observe(e, g+":s", u.elem, u.delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -362,6 +362,74 @@ func TestEngineGroupedWindowDifferential(t *testing.T) {
 			if got, ok := merged[name]; !ok || !got.Equal(f) {
 				t.Fatalf("group %q stream %q differs from reference", g, name)
 			}
+		}
+	}
+}
+
+// An all-time view holds no state: updates to its streams never reach
+// the engine's rings, and EvaluateFamilies estimates it over the
+// embedder's families — per group by the same split rule that routes
+// windowed updates, with absent streams backfilled as empty sets, and
+// unbounded by MaxGroups (1 here), since an all-time group frees nothing.
+func TestEngineAllTimeViewsHoldNoState(t *testing.T) {
+	e := testEngine(t, newFakeClock(), 1)
+	flat := register(t, e, "CREATE VIEW flat AS a - b")
+	per := register(t, e, "CREATE VIEW per AS s | u GROUP BY k")
+
+	fams := map[string]*core.Family{}
+	for _, name := range []string{"a", "g1:s", "g1:u", "g2:s", "g3:x", "s"} {
+		fams[name] = mustFam(t)
+		for i := 0; i < 40+len(name); i++ {
+			fams[name].Update(uint64(i*7+len(name)), 1)
+			if err := observe(e, name, uint64(i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.MergeDelta(name, fams[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if views, buckets, groups := e.Counts(); views != 2 || buckets != 0 || groups != 0 {
+		t.Fatalf("counts %d views, %d buckets, %d groups", views, buckets, groups)
+	}
+	if n := e.met.updates.Value(); n != 0 || len(e.Evaluate(per, 0.1, core.EstimateOptions{})) != 0 {
+		t.Fatalf("all-time views took %d updates into ring state", n)
+	}
+
+	want := func(q string, fs map[string]*core.Family) float64 {
+		t.Helper()
+		for _, name := range expr.Streams(expr.MustParse(q)) {
+			if fs[name] == nil {
+				fs[name] = mustFam(t)
+			}
+		}
+		est, err := mustQuery(t, q).Estimate(fs, 0.1, true, core.EstimateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est.Value
+	}
+	res := e.EvaluateFamilies(flat, fams, 0.1, core.EstimateOptions{})
+	if len(res) != 1 || res[0].Group != "" || res[0].Err != "" {
+		t.Fatalf("flat: %+v", res)
+	}
+	if w := want("a - b", map[string]*core.Family{"a": fams["a"]}); res[0].Est.Value != w || w == 0 {
+		t.Fatalf("flat estimate %v, reference %v", res[0].Est.Value, w)
+	}
+	if _, ok := fams["b"]; ok {
+		t.Fatal("backfill wrote into the caller's map")
+	}
+	res = e.EvaluateFamilies(per, fams, 0.1, core.EstimateOptions{})
+	if len(res) != 2 || res[0].Group != "g1" || res[1].Group != "g2" {
+		t.Fatalf("per groups %+v", res)
+	}
+	for _, r := range res {
+		ref := map[string]*core.Family{"s": fams[r.Group+":s"]}
+		if f := fams[r.Group+":u"]; f != nil {
+			ref["u"] = f
+		}
+		if w := want("s | u", ref); r.Err != "" || r.Est.Value != w {
+			t.Fatalf("group %q: %+v, reference %v", r.Group, r, w)
 		}
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"sort"
 )
 
-// Groups is the bounded keyed state of one view: group key → Ring,
-// with least-recently-updated eviction once the table exceeds its cap.
+// Groups is the bounded keyed state of one windowed view: group key →
+// Ring, with least-recently-updated eviction once the table exceeds
+// its cap.
 // Recency is update recency, not read recency — evaluation sweeps
 // every group each round and must not refresh anything.
 //

@@ -15,9 +15,6 @@ import (
 // window family is bit-identical to a family built from only the
 // in-window updates (tested differentially in window_test.go).
 //
-// An all-time "ring" (window 0) is a single eternal bucket that never
-// rotates; Merged then returns the live families without copying.
-//
 // Ring does no locking: the Engine's embedder serializes mutations and
 // keeps reads (Merged, LiveBuckets) from racing them.
 type Ring struct {
@@ -31,28 +28,25 @@ type Ring struct {
 	start   time.Time
 }
 
-// NewRing creates the state for one group of a view: spec.Buckets()
-// slots of spec.Slide width, the current bucket starting at now
-// (aligned down to a slide boundary so bucket edges are stable across
-// groups). newFam mints empty aligned families on demand.
+// NewRing creates the state for one group of a windowed view:
+// spec.Buckets() slots of spec.Slide width, the current bucket starting
+// at now (aligned down to a slide boundary so bucket edges are stable
+// across groups). newFam mints empty aligned families on demand.
 func NewRing(spec ViewSpec, now time.Time, newFam func() (*core.Family, error)) *Ring {
-	r := &Ring{newFam: newFam, buckets: make([]map[string]*core.Family, spec.Buckets())}
-	if spec.Windowed() {
-		r.slide = spec.Slide
-		r.start = now.Truncate(spec.Slide)
+	return &Ring{
+		slide:   spec.Slide,
+		newFam:  newFam,
+		buckets: make([]map[string]*core.Family, spec.Buckets()),
+		start:   now.Truncate(spec.Slide),
 	}
-	return r
 }
 
 // RotateTo advances the ring so its current bucket covers now,
 // clearing each slot that wraps around (its contents fell out of the
 // window). It returns how many slots advanced and how many non-empty
 // buckets were evicted; evictions > 0 means the window's merged
-// contents changed. All-time rings never rotate.
+// contents changed.
 func (r *Ring) RotateTo(now time.Time) (rotations, evictions int) {
-	if r.slide <= 0 {
-		return 0, 0
-	}
 	steps := int64(now.Sub(r.start) / r.slide)
 	if steps <= 0 {
 		return 0, 0
@@ -101,19 +95,9 @@ func (r *Ring) family(stream string) (*core.Family, error) {
 	return f, nil
 }
 
-// Observe applies one update to the current bucket.
-func (r *Ring) Observe(stream string, elem uint64, delta int64) error {
-	f, err := r.family(stream)
-	if err != nil {
-		return err
-	}
-	f.Update(elem, delta)
-	return nil
-}
-
 // ObserveDigest applies one precomputed digest update to the current
 // bucket — digests depend only on the stored coins, so a digest
-// computed for the coordinator's all-time family applies unchanged to
+// computed for the coordinator's stream family applies unchanged to
 // any aligned bucket family.
 func (r *Ring) ObserveDigest(stream string, d core.Digest, delta int64) error {
 	f, err := r.family(stream)
@@ -135,16 +119,9 @@ func (r *Ring) MergeDelta(stream string, fam *core.Family) error {
 }
 
 // Merged returns the window's family set: every live bucket merged,
-// per stream. Single-bucket (all-time) rings return their live
-// families without copying; windowed rings merge into clones, leaving
-// bucket state untouched, so Merged is always read-only on the ring.
+// per stream, into clones, leaving bucket state untouched, so Merged
+// is read-only on the ring.
 func (r *Ring) Merged() (map[string]*core.Family, error) {
-	if len(r.buckets) == 1 {
-		if r.buckets[0] == nil {
-			return map[string]*core.Family{}, nil
-		}
-		return r.buckets[0], nil
-	}
 	out := make(map[string]*core.Family)
 	for _, b := range r.buckets {
 		for name, f := range b {
@@ -170,6 +147,3 @@ func (r *Ring) LiveBuckets() int {
 	}
 	return n
 }
-
-// Empty reports whether no bucket holds state.
-func (r *Ring) Empty() bool { return r.LiveBuckets() == 0 }

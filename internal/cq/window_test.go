@@ -22,6 +22,27 @@ func mustFam(t testing.TB) *core.Family {
 	return f
 }
 
+// probe computes the test coins' digests: a digest depends only on the
+// coins, so any aligned family serves.
+var probe = func() *core.Family {
+	f, err := testNewFam()
+	if err != nil {
+		panic(err)
+	}
+	return f
+}()
+
+// observeRing applies one raw update to a ring's current bucket
+// through its digest, as the coordinator's batch path does.
+func observeRing(r *Ring, stream string, elem uint64, delta int64) error {
+	return r.ObserveDigest(stream, probe.Digest(elem), delta)
+}
+
+// observe routes one raw update through the engine by its digest.
+func observe(e *Engine, stream string, elem uint64, delta int64) error {
+	return e.ObserveDigest(stream, probe.Digest(elem), delta)
+}
+
 // timedUpdate is one update with its arrival time, replayed both into
 // the ring and into the from-scratch reference.
 type timedUpdate struct {
@@ -71,7 +92,7 @@ func checkDifferential(t testing.TB, spec ViewSpec, start time.Time, ups []timed
 	for _, now := range checkpoints {
 		for i < len(ups) && !ups[i].at.After(now) {
 			r.RotateTo(ups[i].at)
-			if err := r.Observe(ups[i].stream, ups[i].elem, ups[i].delta); err != nil {
+			if err := observeRing(r, ups[i].stream, ups[i].elem, ups[i].delta); err != nil {
 				t.Fatal(err)
 			}
 			i++
@@ -152,66 +173,31 @@ func TestWindowDifferentialTumbling(t *testing.T) {
 	checkDifferential(t, spec, start, ups, checks)
 }
 
-// All-time rings must behave exactly like a single always-merged
-// family: no rotation ever, Merged returns the live state.
-func TestAllTimeRingNeverRotates(t *testing.T) {
-	spec := ViewSpec{Name: "v", Expr: "a"}
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Unix(0, 0)
-	r := NewRing(spec, start, testNewFam)
-	ref := mustFam(t)
-	for i := 0; i < 100; i++ {
-		if rot, ev := r.RotateTo(start.Add(time.Duration(i) * time.Hour)); rot != 0 || ev != 0 {
-			t.Fatalf("all-time ring rotated: %d/%d", rot, ev)
-		}
-		if err := r.Observe("a", uint64(i), 1); err != nil {
-			t.Fatal(err)
-		}
-		ref.Update(uint64(i), 1)
-	}
-	got, err := r.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["a"].Equal(ref) {
-		t.Fatal("all-time merged family differs from reference")
-	}
-}
-
-// Digest updates and raw updates must land identically: a digest is
-// just the precomputed hash row of the same linear counter update.
+// Digest updates must land exactly like raw updates: a digest is just
+// the precomputed hash row of the same linear counter update, so the
+// digest-fed window equals the reference built with Family.Update.
 func TestRingDigestMatchesRaw(t *testing.T) {
 	spec := ViewSpec{Name: "v", Expr: "a", Window: 4 * time.Minute, Slide: time.Minute}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Unix(1_700_000_000, 0)
-	raw := NewRing(spec, start, testNewFam)
 	dig := NewRing(spec, start, testNewFam)
-	probe := mustFam(t) // digest source: any aligned family works
+	var ups []timedUpdate
 	for i := 0; i < 300; i++ {
-		at := start.Add(time.Duration(i) * time.Second)
-		raw.RotateTo(at)
-		dig.RotateTo(at)
-		if err := raw.Observe("a", uint64(i%50), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := dig.ObserveDigest("a", probe.Digest(uint64(i%50)), 1); err != nil {
+		u := timedUpdate{at: start.Add(time.Duration(i) * time.Second), stream: "a", elem: uint64(i % 50), delta: 1}
+		ups = append(ups, u)
+		dig.RotateTo(u.at)
+		if err := dig.ObserveDigest("a", probe.Digest(u.elem), u.delta); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, err := raw.Merged()
+	got, err := dig.Merged()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dig.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a["a"].Equal(b["a"]) {
-		t.Fatal("digest-fed ring differs from raw-fed ring")
+	if !got["a"].Equal(referenceFams(t, spec, ups[len(ups)-1].at, ups)["a"]) {
+		t.Fatal("digest-fed ring differs from raw-fed reference")
 	}
 }
 
@@ -261,7 +247,7 @@ func TestWindowEstimateMatchesReference(t *testing.T) {
 		u := timedUpdate{at: start.Add(time.Duration(i) * time.Second), stream: stream, elem: uint64(i % 131), delta: 1}
 		ups = append(ups, u)
 		r.RotateTo(u.at)
-		if err := r.Observe(u.stream, u.elem, u.delta); err != nil {
+		if err := observeRing(r, u.stream, u.elem, u.delta); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,7 +308,7 @@ func FuzzWindowDifferential(f *testing.F) {
 			u := timedUpdate{at: now, stream: stream, elem: uint64(b % 37), delta: delta}
 			ups = append(ups, u)
 			r.RotateTo(u.at)
-			if err := r.Observe(u.stream, u.elem, u.delta); err != nil {
+			if err := observeRing(r, u.stream, u.elem, u.delta); err != nil {
 				t.Fatal(err)
 			}
 		}

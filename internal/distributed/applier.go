@@ -127,11 +127,11 @@ func insertionSort(x []int) {
 // applies its coalesced entries. The WAL append happens first
 // (append-before-apply: an acked batch is always recoverable), inside
 // the shard critical section so per-stream log order equals apply
-// order, and under vmu when continuous views exist so the view engine
-// observes records in log order too.
+// order, and under vmu when windowed views exist so their rings
+// observe records in log order too.
 // caller holds: mu
 func (c *Coordinator) applyBatchShards(rec *wal.Record, site string, count uint64, entries []wal.DigestUpdate) (uint64, error) {
-	if c.hasViews.Load() {
+	if c.hasWindows.Load() {
 		c.vmu.Lock()
 		err := c.logRecord(rec)
 		if err == nil {
@@ -168,8 +168,8 @@ func (c *Coordinator) applyDigestsLocked(entries []wal.DigestUpdate) error {
 	return nil
 }
 
-// observeDigestsLocked feeds digest entries to the continuous-view
-// engine. Digests depend only on the stored coins, so the same words
+// observeDigestsLocked feeds digest entries to the windowed views'
+// rings. Digests depend only on the stored coins, so the same words
 // apply unchanged to view bucket families.
 // caller holds: vmu
 func (c *Coordinator) observeDigestsLocked(entries []wal.DigestUpdate) error {

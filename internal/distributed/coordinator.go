@@ -63,18 +63,23 @@ type Coordinator struct {
 	updates atomic.Uint64
 
 	// vmu guards the continuous-view engine, which holds the view
-	// catalog and all window/group sketch state (views.go). Batch
+	// catalog and the ring state of windowed views (views.go). Batch
 	// writers take it — inside their shard critical section, around
-	// the WAL append — only when views exist, so the engine observes
-	// mutations in log order; evaluation takes it shared.
+	// the WAL append — only when windowed views exist, so the rings
+	// observe mutations in log order; evaluation takes it shared.
+	// All-time views hold no state: they read the shards' families.
 	vmu sync.RWMutex
 	// guarded by: vmu
 	// wal: state
 	cqe *cq.Engine
-	// hasViews mirrors "the catalog is non-empty". It flips only while
-	// the catalog change holds the fence exclusively, so a batch
-	// (fence shared) can skip the whole view path with one load.
-	hasViews atomic.Bool
+	// catalog counts view-catalog changes, so watch rounds re-evaluate
+	// after a view they follow is dropped or re-created.
+	// guarded by: vmu
+	catalog uint64
+	// hasWindows mirrors "the catalog holds a windowed view". It flips
+	// only while the catalog change holds the fence exclusively, so a
+	// batch (fence shared) can skip the whole view path with one load.
+	hasWindows atomic.Bool
 
 	// dcache is the optional digest cache shared by every session's
 	// coalescer and by recovery's (SetDigestCache); it locks itself.
@@ -209,7 +214,7 @@ func (c *Coordinator) SetObservability(reg *obs.Registry, log *obs.Logger) {
 			return float64(v)
 		})
 	reg.GaugeFunc("cq_window_buckets",
-		"Live (non-empty) window-ring buckets across all views and groups.",
+		"Live (non-empty) window-ring buckets across all windowed views and their groups.",
 		func() float64 {
 			c.vmu.RLock()
 			defer c.vmu.RUnlock()
@@ -217,7 +222,7 @@ func (c *Coordinator) SetObservability(reg *obs.Registry, log *obs.Logger) {
 			return float64(b)
 		})
 	reg.GaugeFunc("cq_groups",
-		"Live keyed groups across all grouped views (bounded by -cq-max-groups per view).",
+		"Live keyed groups across all windowed grouped views (bounded by -cq-max-groups per view).",
 		func() float64 {
 			c.vmu.RLock()
 			defer c.vmu.RUnlock()
@@ -347,10 +352,10 @@ func (c *Coordinator) ApplyDelta(site, stream string, fam *core.Family, count ui
 
 // applyDeltaShards logs and applies one synopsis delta under the
 // stream's (and site stripe's) write locks: append-before-apply, with
-// the view engine fed in log order when views exist.
+// the windowed views' rings fed in log order when any exist.
 // caller holds: mu
 func (c *Coordinator) applyDeltaShards(rec *wal.Record, site, stream string, fam *core.Family, count uint64) (uint64, error) {
-	if c.hasViews.Load() {
+	if c.hasWindows.Load() {
 		c.vmu.Lock()
 		err := c.logRecord(rec)
 		if err == nil {

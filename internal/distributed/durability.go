@@ -75,9 +75,9 @@ func errDigestWidth(got, want int) error {
 
 // applyWALRecord applies one replayed record other than a raw update
 // batch (the replayer coalesces those) — the recovery-side twin of the
-// Apply* entry points, minus re-logging and watch triggers.
-// Replay is single-threaded, but it takes the same locks as the live
-// path so the lock discipline holds everywhere it is machine-checked.
+// Apply* entry points, minus re-logging and watch triggers. Replay is single-threaded, but it takes the same
+// locks as the live path so the lock discipline holds everywhere it is
+// machine-checked.
 //
 //sketchvet:wal-exempt recovery replay applies already-logged records
 func (c *Coordinator) applyWALRecord(rec *wal.Record) error {
@@ -85,60 +85,48 @@ func (c *Coordinator) applyWALRecord(rec *wal.Record) error {
 	defer c.fence.RUnlock()
 	c.lockAllShards()
 	defer c.unlockAllShards()
+	var err error
 	switch rec.Type {
 	case wal.RecDigests:
-		if err := c.replayDigestsLocked(rec.Digests); err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
+		// Width-checked before any view ring sees the words.
+		if err = c.replayDigestsLocked(rec.Digests); err == nil {
+			c.creditLocked(rec.Site, rec.Count)
 		}
 	case wal.RecDelta:
-		fam, err := core.ReadFamily(bytes.NewReader(rec.Synopsis))
-		if err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
+		var fam *core.Family
+		if fam, err = core.ReadFamily(bytes.NewReader(rec.Synopsis)); err != nil {
+			break
 		}
 		if fam.Config() != c.coins.Config || fam.Seed() != c.coins.Seed || fam.Copies() != c.coins.Copies {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, core.ErrNotAligned)
+			err = core.ErrNotAligned
+			break
 		}
-		if err := c.mergeDeltaLocked(rec.Stream, fam); err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-		}
-		if c.hasViews.Load() {
-			c.vmu.Lock()
-			err := c.cqe.MergeDelta(rec.Stream, fam)
-			c.vmu.Unlock()
-			if err != nil {
-				return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-			}
-		}
+		_, err = c.applyDeltaShards(nil, rec.Site, rec.Stream, fam, rec.Count)
 	case wal.RecMark:
-		return nil // site-local flush marks carry no coordinator state
+		// site-local flush marks carry no coordinator state
 	case wal.RecView:
-		// Re-apply the catalog statement without re-logging it. A view
-		// credits no sites/updates, so return before the accounting.
+		// Re-apply the catalog statement without re-logging it.
 		c.vmu.Lock()
-		err := c.applyViewStatementLocked(rec.Statement)
-		c.refreshHasViewsLocked()
+		err = c.applyViewStatementLocked(rec.Statement)
+		c.catalogChangedLocked()
 		c.vmu.Unlock()
-		if err != nil {
-			return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
-		}
-		return nil
 	default:
-		return fmt.Errorf("distributed: replay seq %d: unknown record type %d", rec.Seq, rec.Type)
+		err = fmt.Errorf("unknown record type %d", rec.Type)
 	}
-	c.creditLocked(rec.Site, rec.Count)
+	if err != nil {
+		return fmt.Errorf("distributed: replay seq %d: %w", rec.Seq, err)
+	}
 	return nil
 }
 
 // replayDigestsLocked applies replayed digest entries to the merged
-// synopses and, when views exist, to the view engine. Digests depend
-// only on the stored coins, so the same words apply unchanged to view
-// bucket families.
+// synopses and, when windowed views exist, to their rings.
 // caller holds: mu
 func (c *Coordinator) replayDigestsLocked(entries []wal.DigestUpdate) error {
 	if err := c.applyDigestsLocked(entries); err != nil {
 		return err
 	}
-	if !c.hasViews.Load() {
+	if !c.hasWindows.Load() {
 		return nil
 	}
 	c.vmu.Lock()
@@ -158,7 +146,7 @@ const replayChunk = 1024
 // suffix through one ingest.Coalescer, and a flush resolves each key's
 // digest once — through the digest cache, hashing only the misses —
 // and applies it. Counters are int64 sums, so the regrouping leaves
-// every family bit-identical to per-record replay, and window views
+// every family bit-identical to per-record replay, and windowed views
 // already take every replayed update into the bucket current at replay
 // time. It flushes before every other record type, so deltas and
 // catalog changes keep their log position, at replayFlushKeys keys,
@@ -318,11 +306,12 @@ func (c *Coordinator) InstallSnapshot(snap *wal.Snapshot) error {
 	c.read.Store(&read)
 	c.rmu.Unlock()
 	c.updates.Store(snap.Updates)
-	// Re-register the view catalog. Window/group sketch state is NOT
-	// snapshotted — views refill from the replayed WAL suffix only,
-	// landing in the bucket current at replay time, and re-converge
-	// over one window of live traffic (see DESIGN.md "Continuous
-	// queries" for the trade-off).
+	// Re-register the view catalog. All-time views read the installed
+	// families, so they are exact at once. Window rings are NOT
+	// snapshotted — windowed views refill from the replayed WAL suffix
+	// only, landing in the bucket current at replay time, and
+	// re-converge over one window of live traffic (see DESIGN.md
+	// "Continuous queries" for the trade-off).
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
 	for _, stmt := range snap.Views {
@@ -330,7 +319,7 @@ func (c *Coordinator) InstallSnapshot(snap *wal.Snapshot) error {
 			return fmt.Errorf("distributed: snapshot view: %w", err)
 		}
 	}
-	c.refreshHasViewsLocked()
+	c.catalogChangedLocked()
 	return nil
 }
 
@@ -373,58 +362,57 @@ func (c *Coordinator) WriteSnapshot() error {
 	return l.WriteSnapshot(seq, total, siteCounts, famClones, views)
 }
 
-// Snapshotter periodically snapshots coordinator state so recovery
-// replay stays short and covered WAL segments can be pruned.
-type Snapshotter struct {
-	c        *Coordinator
-	interval time.Duration
-	log      *obs.Logger
-	stop     chan struct{}
-	done     chan struct{}
+// Periodic runs one coordinator task on a fixed interval, on its own
+// goroutine, until Stop: periodic snapshots (StartSnapshotter) and
+// window rotation (StartViewRotator).
+type Periodic struct {
+	stop chan struct{}
+	done chan struct{}
 }
 
-// StartSnapshotter runs a snapshot loop at the given interval. A
-// non-positive interval disables periodic snapshots and returns nil
-// (Stop on a nil Snapshotter is a no-op); callers can still snapshot
-// explicitly via Coordinator.WriteSnapshot.
-func StartSnapshotter(c *Coordinator, interval time.Duration, log *obs.Logger) *Snapshotter {
+// startPeriodic runs fn every interval. A non-positive interval
+// disables the loop and returns nil (Stop on nil is a no-op).
+func startPeriodic(interval time.Duration, fn func()) *Periodic {
 	if interval <= 0 {
 		return nil
 	}
-	s := &Snapshotter{
-		c:        c,
-		interval: interval,
-		log:      log.Named("snapshot"),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go s.loop()
-	return s
-}
-
-func (s *Snapshotter) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			if err := s.c.WriteSnapshot(); err != nil {
-				s.log.Warn("periodic snapshot failed", "err", err.Error())
+	p := &Periodic{stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-p.stop:
+				return
+			case <-t.C:
+				fn()
 			}
 		}
-	}
+	}()
+	return p
 }
 
-// Stop halts the loop and waits for an in-flight snapshot to finish.
-// It does not write a final snapshot — shutdown does that explicitly
-// once the server has drained.
-func (s *Snapshotter) Stop() {
-	if s == nil {
+// Stop halts the loop and waits for an in-flight run to finish.
+func (p *Periodic) Stop() {
+	if p == nil {
 		return
 	}
-	close(s.stop)
-	<-s.done
+	close(p.stop)
+	<-p.done
+}
+
+// StartSnapshotter snapshots coordinator state at the given interval
+// so recovery replay stays short and covered WAL segments can be
+// pruned. A non-positive interval disables periodic snapshots and
+// returns nil; callers can still snapshot explicitly via
+// Coordinator.WriteSnapshot. Stop does not write a final snapshot —
+// shutdown does that explicitly once the server has drained.
+func StartSnapshotter(c *Coordinator, interval time.Duration, log *obs.Logger) *Periodic {
+	log = log.Named("snapshot")
+	return startPeriodic(interval, func() {
+		if err := c.WriteSnapshot(); err != nil {
+			log.Warn("periodic snapshot failed", "err", err.Error())
+		}
+	})
 }

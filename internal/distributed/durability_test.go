@@ -263,7 +263,7 @@ func TestSnapshotterLoop(t *testing.T) {
 		t.Errorf("snapshot covers seq %d, last appended is %d", got, l.LastSeq())
 	}
 	// Nil snapshotter (interval <= 0) is inert and Stop-safe.
-	var nilSnap *Snapshotter = StartSnapshotter(c, 0, nil)
+	var nilSnap *Periodic = StartSnapshotter(c, 0, nil)
 	nilSnap.Stop()
 }
 

@@ -95,15 +95,12 @@ func requireSameBytes(t *testing.T, want, got *Coordinator) {
 	}
 }
 
-// viewResults evaluates the named views under the coordinator's view
-// lock.
+// viewResults evaluates the named views as a watch round does.
 func viewResults(c *Coordinator, names []string) map[string][]cq.GroupResult {
-	c.vmu.RLock()
-	defer c.vmu.RUnlock()
 	out := make(map[string][]cq.GroupResult, len(names))
 	for _, n := range names {
-		if v := c.cqe.View(n); v != nil {
-			out[n] = c.cqe.Evaluate(v, 0.1, core.EstimateOptions{})
+		if _, res, ok := c.evaluateView(n, 0.1); ok {
+			out[n] = res
 		}
 	}
 	return out
@@ -148,8 +145,8 @@ func randomBatch(rng *hashing.RNG, n int, domain uint64, prev []datagen.Update, 
 // coalescing replay: a randomized log of raw batches, synopsis deltas,
 // CREATE/DROP VIEW and a mid-log snapshot must recover into a fresh
 // coordinator whose families serialize to the live ones' bytes, and
-// whose views created past the snapshot evaluate identically under a
-// fixed clock. The small-coins cases run more than replayFlushKeys
+// whose all-time views, and windowed views created past the snapshot,
+// evaluate identically under a fixed clock. The small-coins cases run more than replayFlushKeys
 // distinct keys through one stretch of update records, forcing
 // mid-suffix flushes.
 func TestRecoveryMatchesLiveState(t *testing.T) {
@@ -273,6 +270,11 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 			}
 			if len(names) == 0 {
 				t.Fatal("no view was created past the snapshot")
+			}
+			for _, spec := range live.Views() {
+				if !spec.Windowed() && !postSnap[spec.Name] {
+					names = append(names, spec.Name)
+				}
 			}
 			if w, g := viewResults(live, names), viewResults(got, names); !reflect.DeepEqual(w, g) {
 				t.Fatalf("view evaluations diverged after recovery:\n%+v\nvs\n%+v", w, g)

@@ -5,16 +5,19 @@ package distributed
 // WAL-logged (append-before-apply, like every other mutation) so the
 // catalog survives restarts. Catalog changes additionally hold the
 // fence exclusively: no update batch is in flight while the view set
-// changes, which is what lets batch writers consult the hasViews flag
-// with one atomic load and skip the engine entirely when the catalog
-// is empty. Recovery re-runs the snapshot's statement list plus the
-// RecView suffix; window/group sketch contents then rebuild from the
-// replayed update records.
+// changes, which is what lets batch writers consult the hasWindows flag
+// with one atomic load and skip the engine entirely when no windowed
+// view exists. An all-time view is a named, compiled expression over
+// the coordinator's own stream families and holds no state, so it sees
+// every update the streams ever sent and survives any recovery exactly.
+// Recovery re-runs the snapshot's statement list plus the RecView
+// suffix; window rings then rebuild from the replayed update records.
 
 import (
 	"fmt"
 	"time"
 
+	"setsketch/internal/core"
 	"setsketch/internal/cq"
 	"setsketch/internal/wal"
 )
@@ -34,19 +37,23 @@ func (c *Coordinator) SetCQOptions(opts cq.Options) error {
 	}
 	c.vmu.Lock()
 	c.cqe = e
-	c.refreshHasViewsLocked()
+	c.catalogChangedLocked()
 	c.vmu.Unlock()
 	return nil
 }
 
-// refreshHasViewsLocked re-derives the batch writers' fast-path flag
-// from the catalog. Callers that can race live batches (CreateView,
-// DropView) also hold the fence exclusively, so no batch observes the
-// flag mid-change.
+// catalogChangedLocked counts one catalog change and re-derives the
+// batch writers' fast-path flag. Callers that can race live batches
+// (CreateView, DropView) also hold the fence exclusively, so no batch
+// observes the flag mid-change.
 // caller holds: vmu
-func (c *Coordinator) refreshHasViewsLocked() {
-	v, _, _ := c.cqe.Counts()
-	c.hasViews.Store(v > 0)
+func (c *Coordinator) catalogChangedLocked() {
+	c.catalog++
+	windows := false
+	for _, spec := range c.cqe.Specs() {
+		windows = windows || spec.Windowed()
+	}
+	c.hasWindows.Store(windows)
 }
 
 // CreateView registers a continuous view from a CREATE VIEW statement,
@@ -78,7 +85,7 @@ func (c *Coordinator) CreateView(statement string) (cq.ViewSpec, error) {
 	if _, err := c.cqe.Register(spec); err != nil {
 		return cq.ViewSpec{}, err // unreachable: validated + no duplicate
 	}
-	c.refreshHasViewsLocked()
+	c.catalogChangedLocked()
 	c.log.Info("view created", "view", spec.Name, "statement", spec.Statement())
 	return spec, nil
 }
@@ -100,7 +107,7 @@ func (c *Coordinator) DropView(name string) error {
 		return err
 	}
 	c.cqe.Drop(name)
-	c.refreshHasViewsLocked()
+	c.catalogChangedLocked()
 	c.log.Info("view dropped", "view", name)
 	return nil
 }
@@ -171,69 +178,81 @@ func (c *Coordinator) RotateViews() {
 	c.vmu.Unlock()
 }
 
-// viewVersions fills out[i] with a change stamp for view names[i]: 0
-// when the view does not exist, otherwise its version offset by 1 (so
-// appearing and disappearing are both changes). The watcher round-skip
-// logic compares stamps like streamVersions.
-func (c *Coordinator) viewVersions(names []string, out []uint64) {
+// evaluateView evaluates one view for a watch round; ok is false when
+// it does not exist. A windowed view reads its rings under vmu. An
+// all-time view reads the stream families under the shard read locks
+// an ad-hoc estimate of its expression takes, or every shard's when
+// grouped (its groups' streams are unknown until read).
+func (c *Coordinator) evaluateView(name string, eps float64) (spec cq.ViewSpec, res []cq.GroupResult, ok bool) {
 	c.vmu.RLock()
-	defer c.vmu.RUnlock()
+	e := c.cqe
+	v := e.View(name)
+	if v != nil && v.Spec().Windowed() {
+		res = e.Evaluate(v, eps, core.EstimateOptions{})
+	}
+	c.vmu.RUnlock()
+	switch {
+	case v == nil:
+		return spec, nil, false
+	case v.Spec().Windowed():
+		return v.Spec(), res, true
+	}
+	var locks []int
+	if v.Spec().Grouped() {
+		for si := range c.shards {
+			locks = append(locks, si)
+		}
+	} else {
+		locks = c.shardLockSet(v.Streams())
+	}
+	for _, si := range locks {
+		c.shards[si].mu.RLock()
+	}
+	res = e.EvaluateFamilies(v, *c.read.Load(), eps, core.EstimateOptions{})
+	for _, si := range locks {
+		c.shards[si].mu.RUnlock()
+	}
+	return v.Spec(), res, true
+}
+
+// viewVersions fills out[i] with a change stamp for view names[i] (0
+// when it does not exist) and returns the catalog's change count. A
+// windowed view's stamp is its version offset by 1. An all-time view's
+// comes from the families it reads: the sum of its streams' stamps
+// when ungrouped, StateVersion when grouped (so a new group's first
+// stream is a change).
+func (c *Coordinator) viewVersions(names []string, out []uint64) uint64 {
+	views := make([]*cq.View, len(names))
+	c.vmu.RLock()
+	catalog := c.catalog
 	for i, name := range names {
-		if v := c.cqe.View(name); v != nil {
-			out[i] = v.Version() + 1
-		} else {
-			out[i] = 0
+		out[i] = 0
+		if views[i] = c.cqe.View(name); views[i] != nil {
+			out[i] = views[i].Version() + 1
 		}
 	}
-}
-
-// ViewRotator periodically rotates windowed views so eviction happens
-// on time even when no updates arrive. It is the cq counterpart of
-// Snapshotter.
-type ViewRotator struct {
-	c        *Coordinator
-	interval time.Duration
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// StartViewRotator runs a rotation loop at the given interval
-// (typically well under the smallest SLIDE in use). A non-positive
-// interval disables the loop and returns nil (Stop on nil is a no-op);
-// updates and watch rounds still rotate lazily.
-func StartViewRotator(c *Coordinator, interval time.Duration) *ViewRotator {
-	if interval <= 0 {
-		return nil
-	}
-	r := &ViewRotator{
-		c:        c,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go r.loop()
-	return r
-}
-
-func (r *ViewRotator) loop() {
-	defer close(r.done)
-	t := time.NewTicker(r.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.c.RotateViews()
+	c.vmu.RUnlock()
+	for i, v := range views {
+		switch {
+		case v == nil || v.Spec().Windowed():
+		case v.Spec().Grouped():
+			out[i] = c.StateVersion()
+		default:
+			stamps := make([]uint64, len(v.Streams()))
+			c.streamVersions(v.Streams(), stamps)
+			for _, s := range stamps {
+				out[i] += s
+			}
 		}
 	}
+	return catalog
 }
 
-// Stop halts the rotation loop and waits for an in-flight sweep.
-func (r *ViewRotator) Stop() {
-	if r == nil {
-		return
-	}
-	close(r.stop)
-	<-r.done
+// StartViewRotator rotates windowed views at the given interval
+// (typically well under the smallest SLIDE in use), so eviction happens
+// on time even when no updates arrive. A non-positive interval disables
+// the loop and returns nil; updates and watch rounds still rotate
+// lazily.
+func StartViewRotator(c *Coordinator, interval time.Duration) *Periodic {
+	return startPeriodic(interval, c.RotateViews)
 }

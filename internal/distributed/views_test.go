@@ -1,11 +1,13 @@
 package distributed
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"setsketch/internal/datagen"
+	"setsketch/internal/obs"
 )
 
 func mustCreateView(t *testing.T, c *Coordinator, stmt string) {
@@ -49,37 +51,185 @@ func TestCreateDropListViews(t *testing.T) {
 	}
 }
 
-// TestWatchViewRounds: an unwindowed, ungrouped view over a single
-// stream must estimate exactly what an ad-hoc query over the same
-// stream reports — the view's bucket family is built from the same
-// updates with the same stored coins.
+// TestWatchViewRounds: an all-time view estimates exactly what an
+// ad-hoc query of its expression reports, whether it was created
+// before the traffic or after it: it reads the coordinator's families,
+// which hold the streams' whole history.
 func TestWatchViewRounds(t *testing.T) {
 	c, _ := NewCoordinator(testCoins)
 	mustCreateView(t, c, "CREATE VIEW va AS A")
-	w, err := c.Watch(WatchSpec{Views: []string{"va"}, Eps: 0.2, EveryUpdates: 1 << 60, Buffer: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
 	var ups []datagen.Update
-	for i := 0; i < 300; i++ {
+	for i := 0; i < 3000; i++ {
 		ups = append(ups, datagen.Update{Stream: "A", Elem: uint64(i * 131), Delta: 1})
 	}
 	if err := c.ApplyUpdates("edge", ups); err != nil {
 		t.Fatal(err)
 	}
-	c.Tick()
-	res := <-w.C
-	if res.View != "va" || res.Group != "" || res.Err != "" {
-		t.Fatalf("unexpected result: %+v", res)
+	mustCreateView(t, c, "CREATE VIEW late AS A")
+	if err := c.ApplyUpdates("edge", inserts("A", 1<<40)); err != nil {
+		t.Fatal(err)
 	}
+	w, err := c.Watch(WatchSpec{Views: []string{"va", "late"}, Eps: 0.2, EveryUpdates: 1 << 60, Buffer: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c.Tick()
 	adhoc, err := c.Estimate("A", 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Est.Value != adhoc.Value {
-		t.Errorf("view estimate %v, ad-hoc estimate %v", res.Est.Value, adhoc.Value)
+	if adhoc.Value < 2000 {
+		t.Fatalf("ad-hoc estimate %v for 3001 distinct elements", adhoc.Value)
+	}
+	for _, view := range []string{"va", "late"} {
+		res := <-w.C
+		if res.View != view || res.Group != "" || res.Err != "" {
+			t.Fatalf("unexpected result: %+v", res)
+		}
+		if res.Est != adhoc {
+			t.Errorf("view %s estimate %+v, ad-hoc estimate %+v", view, res.Est, adhoc)
+		}
+	}
+}
+
+// TestWatchAllTimeViewRoundSkip: a watcher on all-time views skips a
+// round in which nothing it reads changed, and never one after an
+// update to a referenced stream, a new group's first stream, or a
+// change to the view catalog.
+func TestWatchAllTimeViewRoundSkip(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, _ := NewCoordinator(testCoins)
+	c.SetObservability(reg, nil)
+	skipped := reg.Counter("watch_rounds_skipped_total", "")
+	mustCreateView(t, c, "CREATE VIEW ab AS A | B")
+	mustCreateView(t, c, "CREATE VIEW per AS L GROUP BY tenant")
+	watch := func(view string) *Watcher {
+		w, err := c.Watch(WatchSpec{Views: []string{view}, Eps: 0.2, EveryUpdates: 1 << 60, Buffer: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		return w
+	}
+	flat, grouped := watch("ab"), watch("per")
+	apply := func(stream string, elem uint64) {
+		t.Helper()
+		if err := c.ApplyUpdates("edge", inserts(stream, elem)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := func(w *Watcher) int {
+		for n := 0; ; n++ {
+			select {
+			case res := <-w.C:
+				if res.Err != "" {
+					t.Fatalf("round error: %+v", res)
+				}
+			default:
+				return n
+			}
+		}
+	}
+	round := func(step string, wantSkipped uint64, wantFlat, wantGrouped int) {
+		t.Helper()
+		before := skipped.Value()
+		c.Tick()
+		if got := skipped.Value() - before; got != wantSkipped {
+			t.Errorf("%s: %d rounds skipped, want %d", step, got, wantSkipped)
+		}
+		if got := drain(flat); got != wantFlat {
+			t.Errorf("%s: ungrouped view delivered %d results, want %d", step, got, wantFlat)
+		}
+		if got := drain(grouped); got != wantGrouped {
+			t.Errorf("%s: grouped view delivered %d results, want %d", step, got, wantGrouped)
+		}
+	}
+	apply("A", 1)
+	apply("B", 2)
+	apply("acme:L", 3)
+	round("first round", 0, 1, 1)
+	round("nothing changed", 2, 0, 0)
+	apply("X", 4) // no view reads X; the grouped stamp is the whole state's
+	round("unread stream", 1, 0, 1)
+	apply("A", 5)
+	round("referenced stream", 0, 1, 1)
+	round("nothing changed again", 2, 0, 0)
+	apply("globex:L", 6)
+	round("new group", 1, 0, 2)
+	if err := c.DropView("ab"); err != nil {
+		t.Fatal(err)
+	}
+	mustCreateView(t, c, "CREATE VIEW ab AS A & B")
+	round("view re-created", 0, 1, 2)
+}
+
+// TestAllTimeViewsTakeNoViewPath: with only all-time views registered,
+// batches and deltas never take vmu and never reach the view engine:
+// each update is applied once, to the coordinator's own family. A
+// windowed view turns the view path back on.
+func TestAllTimeViewsTakeNoViewPath(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, _ := NewCoordinator(testCoins)
+	c.SetObservability(reg, nil)
+	mustCreateView(t, c, "CREATE VIEW a1 AS A")
+	mustCreateView(t, c, "CREATE VIEW a2 AS A | B")
+	mustCreateView(t, c, "CREATE VIEW per AS L GROUP BY tenant")
+	if c.hasWindows.Load() {
+		t.Fatal("all-time views turned the window path on")
+	}
+	var ups []datagen.Update
+	for i := 0; i < 200; i++ {
+		ups = append(ups, datagen.Update{Stream: "A", Elem: uint64(i), Delta: 1},
+			datagen.Update{Stream: "acme:L", Elem: uint64(i), Delta: 1})
+	}
+	delta, _ := testCoins.NewFamily()
+	delta.Insert(7)
+	done := make(chan error, 1)
+	c.vmu.Lock() // a batch that wanted the view path would block here
+	go func() {
+		err := c.ApplyUpdates("edge", ups)
+		if err == nil {
+			err = c.ApplyDelta("edge", "B", delta, 1)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		c.vmu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		c.vmu.Unlock()
+		t.Fatal("a batch waited for vmu with only all-time views registered")
+	}
+	// 200 distinct elements: one counter update each, read by two views.
+	stamp := make([]uint64, 1)
+	if c.streamVersions([]string{"A"}, stamp); stamp[0] != 1+200 {
+		t.Errorf("stream A took %d counter updates for 200 distinct elements", stamp[0]-1)
+	}
+	if n := reg.Counter("cq_view_updates_total", "").Value(); n != 0 {
+		t.Errorf("cq_view_updates_total = %d", n)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"cq_views 3", "cq_window_buckets 0", "cq_groups 0"} {
+		if !strings.Contains(sb.String(), line+"\n") {
+			t.Errorf("exposition lacks %q", line)
+		}
+	}
+	mustCreateView(t, c, "CREATE VIEW recent AS A WINDOW 1m")
+	if !c.hasWindows.Load() {
+		t.Fatal("a windowed view left the window path off")
+	}
+	if err := c.DropView("recent"); err != nil {
+		t.Fatal(err)
+	}
+	if c.hasWindows.Load() {
+		t.Fatal("dropping the only windowed view left the window path on")
 	}
 }
 
@@ -253,6 +403,21 @@ func TestViewCatalogSnapshotRecovery(t *testing.T) {
 	w1, w2 := c1.ViewStatements(), c2.ViewStatements()
 	if strings.Join(w1, "\n") != strings.Join(w2, "\n") {
 		t.Fatalf("view catalog diverged:\n%s\nvs\n%s", strings.Join(w1, "\n"), strings.Join(w2, "\n"))
+	}
+	// All-time views read the recovered families, so they estimate
+	// what they did before the crash: exactly their ad-hoc estimates.
+	names := []string{"va", "vc"}
+	if v1, v2 := viewResults(c1, names), viewResults(c2, names); !reflect.DeepEqual(v1, v2) || len(v2) != 2 {
+		t.Fatalf("view estimates diverged after recovery:\n%+v\nvs\n%+v", v1, v2)
+	}
+	for name, expr := range map[string]string{"va": "A", "vc": "A & B"} {
+		adhoc, err := c2.Estimate(expr, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := viewResults(c2, names)[name]; got[0].Est != adhoc || got[0].Err != "" {
+			t.Errorf("view %s after recovery: %+v, ad-hoc %+v", name, got, adhoc)
+		}
 	}
 	l1.Close()
 }

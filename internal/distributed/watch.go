@@ -86,15 +86,17 @@ type Watcher struct {
 	views   []string
 
 	// lastEval and epoch are guarded by c.wmu, as are the round-skip
-	// fields: evaluated ("at least one round ran") and lastVersions /
+	// fields: evaluated ("at least one round ran"), lastVersions /
 	// lastViewVersions (change stamps at the last evaluated round,
-	// aligned with streams and views respectively).
+	// aligned with streams and views respectively) and lastCatalog.
 	// guarded by: c.wmu
 	lastEval, epoch uint64
 	// guarded by: c.wmu
 	evaluated, lastHadError bool
 	// guarded by: c.wmu
 	lastVersions, lastViewVersions []uint64
+	// guarded by: c.wmu
+	lastCatalog uint64
 	// lastVals backs ISTREAM emit filtering: view name → group key →
 	// last emitted estimate.
 	// guarded by: c.wmu
@@ -127,15 +129,9 @@ func (c *Coordinator) Watch(spec WatchSpec) (*Watcher, error) {
 		return nil, fmt.Errorf("distributed: watch registers no expressions or views")
 	}
 	for _, name := range spec.Views {
-		// The nil check belongs under the same lock as the lookup:
-		// SetCQOptions swaps the engine pointer.
 		c.vmu.RLock()
-		cqe := c.cqe
-		known := cqe != nil && cqe.View(name) != nil
+		known := c.cqe.View(name) != nil
 		c.vmu.RUnlock()
-		if cqe == nil {
-			return nil, fmt.Errorf("distributed: continuous views are not enabled")
-		}
 		if !known {
 			return nil, fmt.Errorf("distributed: watch references unknown view %q", name)
 		}
@@ -351,16 +347,18 @@ func (c *Coordinator) evalRound(w *Watcher) {
 	versions := make([]uint64, len(w.streams))
 	c.streamVersions(w.streams, versions)
 	viewVersions := make([]uint64, len(w.views))
-	c.viewVersions(w.views, viewVersions)
+	catalog := c.viewVersions(w.views, viewVersions)
 	c.wmu.Lock()
 	epoch := w.epoch
 	skip := w.evaluated && !w.lastHadError &&
 		versionsEqual(versions, w.lastVersions) &&
-		versionsEqual(viewVersions, w.lastViewVersions)
+		versionsEqual(viewVersions, w.lastViewVersions) &&
+		(len(w.views) == 0 || catalog == w.lastCatalog)
 	if !skip {
 		w.evaluated = true
 		copy(w.lastVersions, versions)
 		copy(w.lastViewVersions, viewVersions)
+		w.lastCatalog = catalog
 	}
 	c.wmu.Unlock()
 	if skip {
@@ -397,24 +395,16 @@ func (c *Coordinator) evalRound(w *Watcher) {
 func (c *Coordinator) evalViews(w *Watcher, epoch, total uint64) bool {
 	hadErr := false
 	for _, name := range w.views {
-		c.vmu.RLock()
-		v := c.cqe.View(name)
-		var results []cq.GroupResult
-		var emit cq.EmitMode
-		if v != nil {
-			emit = v.Spec().Emit
-			results = c.cqe.Evaluate(v, w.spec.Eps, core.EstimateOptions{})
-		}
-		c.vmu.RUnlock()
+		spec, results, ok := c.evaluateView(name, w.spec.Eps)
 		c.met.cqViewRounds.Inc()
-		if v == nil {
+		if !ok {
 			hadErr = true
 			c.met.cqViewErrors.Inc()
 			w.deliver(WatchResult{View: name, Epoch: epoch, Updates: total,
 				Err: fmt.Sprintf("unknown view %q", name)})
 			continue
 		}
-		if emit == cq.EmitIStream {
+		if spec.Emit == cq.EmitIStream {
 			results = w.filterIStream(name, results)
 		}
 		for _, r := range results {
